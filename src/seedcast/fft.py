@@ -1,130 +1,49 @@
 """Discrete Fourier transforms on float64 arrays.
 
-Radix-2 iterative FFT for power-of-two lengths, Bluestein's chirp-z
-algorithm for everything else (the default lookback 96 = 2^5 * 3 is not a
-power of two). All routines transform the last axis and accept arbitrary
-leading batch dimensions. Complex arithmetic runs on complex128 internally;
-the public surface stays (re, im) float64 pairs.
+Thin wrappers over ``numpy.fft`` (pocketfft), oracle-tested against the naive
+O(L^2) DFT. All routines transform the last axis and accept arbitrary leading
+batch dimensions. The public surface stays (re, im) float64 pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import InputError
 
 
-@lru_cache(maxsize=64)
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    rev.setflags(write=False)
-    return rev
+def _transform(z: np.ndarray, inverse: bool = False):
+    """numpy.fft along the last axis, split into (re, im); an empty axis maps to itself."""
+    if z.shape[-1] == 0:
+        out = z.astype(np.complex128)
+    else:
+        out = (np.fft.ifft if inverse else np.fft.fft)(z, axis=-1)
+    return out.real, out.imag
 
 
-@lru_cache(maxsize=64)
-def _stage_twiddles(n: int) -> tuple[np.ndarray, ...]:
-    tw = []
-    size = 2
-    while size <= n:
-        ang = -2.0 * np.pi * np.arange(size // 2) / size
-        w = np.exp(1j * ang)
-        w.setflags(write=False)
-        tw.append(w)
-        size *= 2
-    return tuple(tw)
-
-
-def _fft_pow2(z: np.ndarray, inverse: bool) -> np.ndarray:
-    """Radix-2 decimation-in-time on complex128; inverse is unscaled."""
-    n = z.shape[-1]
-    z = np.ascontiguousarray(z[..., _bit_reverse_indices(n)])
-    size = 2
-    for w in _stage_twiddles(n):
-        if inverse:
-            w = w.conj()
-        zg = z.reshape(z.shape[:-1] + (n // size, size))
-        half = size // 2
-        even = zg[..., :half]
-        odd = zg[..., half:]
-        t = odd * w
-        odd[...] = even - t
-        even += t
-        size *= 2
-    return z
-
-
-@lru_cache(maxsize=64)
-def _bluestein_tables(n: int):
-    # Chirp w_k = exp(-i*pi*k^2/n); k^2 taken mod 2n to keep the angle small.
-    k = np.arange(n)
-    ang = np.pi * ((k * k) % (2 * n)) / n
-    chirp = np.exp(-1j * ang)
-    m = 1 << (2 * n - 1).bit_length()
-    # Kernel: conjugate chirp at |j|, laid out circularly, transformed once.
-    b = np.zeros(m, dtype=np.complex128)
-    b[:n] = chirp.conj()
-    b[m - n + 1:] = chirp[1:].conj()[::-1]
-    fb = _fft_pow2(b, inverse=False)
-    chirp.setflags(write=False)
-    fb.setflags(write=False)
-    return m, chirp, fb
-
-
-def _fft_bluestein(z: np.ndarray, inverse: bool) -> np.ndarray:
-    n = z.shape[-1]
-    m, chirp, fb = _bluestein_tables(n)
-    if inverse:
-        chirp = chirp.conj()
-        fb = fb.conj()
-    a = np.zeros(z.shape[:-1] + (m,), dtype=np.complex128)
-    a[..., :n] = z * chirp
-    conv = _fft_pow2(_fft_pow2(a, inverse=False) * fb, inverse=True)
-    return conv[..., :n] * (chirp / m)
-
-
-def _dispatch(z: np.ndarray, inverse: bool) -> np.ndarray:
-    n = z.shape[-1]
-    if n == 1:
-        return z.copy()
-    if n & (n - 1) == 0:
-        return _fft_pow2(z, inverse)
-    return _fft_bluestein(z, inverse)
+def _complex_input(re, im) -> np.ndarray:
+    re = np.asarray(re, dtype=np.float64)
+    im = np.asarray(im, dtype=np.float64)
+    if re.shape != im.shape:
+        raise InputError(f"re/im shapes differ: {re.shape} vs {im.shape}")
+    return re + 1j * im
 
 
 def fft_complex(re: np.ndarray, im: np.ndarray):
     """Forward DFT along the last axis: X_k = sum_t x_t e^{-2*pi*i*k*t/L}."""
-    re = np.asarray(re, dtype=np.float64)
-    im = np.asarray(im, dtype=np.float64)
-    if re.shape != im.shape:
-        raise InputError(f"re/im shapes differ: {re.shape} vs {im.shape}")
-    out = _dispatch(re + 1j * im, inverse=False)
-    return out.real, out.imag
+    return _transform(_complex_input(re, im))
 
 
 def ifft_complex(re: np.ndarray, im: np.ndarray):
     """Inverse DFT along the last axis (includes the 1/L factor)."""
-    re = np.asarray(re, dtype=np.float64)
-    im = np.asarray(im, dtype=np.float64)
-    if re.shape != im.shape:
-        raise InputError(f"re/im shapes differ: {re.shape} vs {im.shape}")
-    out = _dispatch(re + 1j * im, inverse=True)
-    n = re.shape[-1]
-    return out.real / n, out.imag / n
+    return _transform(_complex_input(re, im), inverse=True)
 
 
 def fft_real_raw(x: np.ndarray):
     """DFT of a real array along the last axis, as (re, im) float64 arrays."""
-    x = np.asarray(x, dtype=np.float64)
-    out = _dispatch(x.astype(np.complex128), inverse=False)
-    return out.real, out.imag
+    return _transform(np.asarray(x, dtype=np.float64))
 
 
 @dataclass

@@ -120,12 +120,17 @@ def knn_sparsify(graph: SignedGraph, k: int) -> SignedGraph:
     n = graph.weights.shape[-1]
     if not 1 <= k <= n:
         raise ConfigError(f"knn k must be in [1, {n}], got {k}")
-    absw = np.abs(graph.weights.data).copy()
+    absw = np.abs(graph.weights.data)
+    absw[np.isnan(absw)] = -1.0  # NaN ranks last, as in a sort
     idx = np.arange(n)
     absw[..., idx, idx] = np.inf  # self-edge ranks first
-    order = np.argsort(-absw, axis=-1, kind="stable")
-    mask = np.zeros(graph.weights.shape, dtype=bool)
-    np.put_along_axis(mask, order[..., :k], True, axis=-1)
+    # Keep everything above the k-th largest |w|; fill the rest of the row
+    # from the entries equal to it, lowest column index first.
+    kth = np.partition(absw, n - k, axis=-1)[..., n - k : n - k + 1]
+    above = absw > kth
+    tie = absw == kth
+    room = k - above.sum(axis=-1, keepdims=True)
+    mask = above | (tie & (np.cumsum(tie, axis=-1, dtype=np.int32) <= room))
     weights = graph.weights * T.Tensor(mask.astype(np.float64))
     return SignedGraph(weights, graph.variant, mask)
 

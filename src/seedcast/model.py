@@ -9,6 +9,7 @@ shared seed yields comparable runs.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import struct
@@ -100,6 +101,19 @@ class ModelConfig:
             raise ConfigError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         if self.variant == "re_f1" and self.n_vars is None:
             raise ConfigError("variant re_f1 needs n_vars (per-variable fusion scalar)")
+        if self.knn_k is not None:
+            if self.knn_k < 1:
+                raise ConfigError(f"knn_k must be >= 1, got {self.knn_k}")
+            # Graph nodes per window: 2 patches x C locally, C at one step; the
+            # global mode keeps every edge and ignores knn_k.
+            wiring = apply_variant(self)
+            per_var = {"local": 2, "same_step": 1}.get(wiring["spatial_mode"], 0)
+            nodes = per_var * (self.n_vars or 0)  # 0: n_vars unknown or knn_k unused
+            if wiring["spatial"] and nodes and self.knn_k > nodes:
+                raise ConfigError(
+                    f"knn_k ({self.knn_k}) exceeds the {nodes} graph nodes "
+                    f"of a {wiring['spatial_mode']} window"
+                )
 
     @property
     def n_patches(self) -> int:
@@ -291,9 +305,9 @@ class SeedModel:
             xn, stats = instance_normalize(x)
         else:
             xn, stats = x, None
-        ent = entropy_tensor(T.Tensor(xn), self.filter, degenerate="zero")  # (B, C)
-        if cfg.detach_entropy:
-            ent = ent.detach()
+        # Detached entropy is a constant of the step: build no tape for it.
+        with T.no_grad() if cfg.detach_entropy else contextlib.nullcontext():
+            ent = entropy_tensor(T.Tensor(xn), self.filter, degenerate="zero")  # (B, C)
         tokens = patch_and_embed(xn, self.embed).values  # (B, C, N, D)
         for lp in self.layers:
             tokens = self._encoder_layer(tokens, ent, lp, force_fusion_weight)

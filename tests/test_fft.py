@@ -81,6 +81,28 @@ class TestComplexTransforms:
         assert np.abs(rr - zr).max() < 1e-9
         assert np.abs(ri - zi).max() < 1e-9
 
+    def test_batched_against_naive_dft(self):
+        rng = np.random.default_rng(3)
+        shape = (4, 3, 96)
+        z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        re, im = F.fft_complex(z.real, z.imag)
+        ire, iim = F.ifft_complex(z.real, z.imag)
+        for b in range(shape[0]):
+            for c in range(shape[1]):
+                ref = naive_dft(z[b, c])
+                scale = max(1, np.abs(ref).max())
+                assert np.abs(re[b, c] + 1j * im[b, c] - ref).max() < 1e-8 * scale
+                # Inverse DFT: conj(DFT(conj(z))) / L.
+                iref = naive_dft(z[b, c].conj()).conj() / shape[-1]
+                assert np.abs(ire[b, c] + 1j * iim[b, c] - iref).max() < 1e-8 * scale
+
+    def test_empty_axis_maps_to_empty(self):
+        for fn in (F.fft_complex, F.ifft_complex):
+            re, im = fn(np.zeros((3, 0)), np.zeros((3, 0)))
+            assert re.shape == im.shape == (3, 0)
+        re, im = F.fft_real_raw(np.zeros((2, 0)))
+        assert re.shape == im.shape == (2, 0)
+
     def test_shape_mismatch(self):
         with pytest.raises(InputError):
             F.fft_complex(np.zeros(4), np.zeros(5))

@@ -13,6 +13,18 @@ def knn_oracle(row, self_idx, k):
     return {self_idx} | set(order[: k - 1])
 
 
+def argsort_knn_mask(weights, k):
+    """Batched reference mask: self-edge first, then a stable sort on -|w|."""
+    absw = np.abs(np.asarray(weights, dtype=float))
+    n = absw.shape[-1]
+    idx = np.arange(n)
+    absw[..., idx, idx] = np.inf
+    order = np.argsort(-absw, axis=-1, kind="stable")
+    mask = np.zeros(absw.shape, dtype=bool)
+    np.put_along_axis(mask, order[..., :k], True, axis=-1)
+    return mask
+
+
 class TestMakeWindows:
     def test_counts(self):
         tokens = T.Tensor(np.random.default_rng(0).normal(size=(7, 6, 4)))
@@ -158,6 +170,27 @@ class TestKnnSparsify:
         assert set(np.nonzero(out.mask[0, 1])[0]) == {1, 0}
         assert set(np.nonzero(out.mask[0, 2])[0]) == {2, 0}
         assert set(np.nonzero(out.mask[0, 3])[0]) == {3, 0}
+
+    @pytest.mark.parametrize("decimals", [None, 1, 0])
+    def test_matches_argsort_oracle_batched(self, decimals):
+        # decimals=1/0 rounds the scores so most rows are full of ties.
+        rng = np.random.default_rng(12)
+        for shape in [(3, 2, 6, 6), (2, 5, 4, 16, 16), (1, 3, 42, 42)]:
+            w = rng.normal(size=shape)
+            if decimals is not None:
+                w = np.round(w, decimals)
+            n = shape[-1]
+            for k in sorted({1, 2, n // 2, n - 1, n}):
+                out = G.knn_sparsify(self._graph(w), k)
+                assert np.array_equal(out.mask, argsort_knn_mask(w, k))
+
+    def test_nan_weights_rank_last(self):
+        w = np.random.default_rng(13).normal(size=(2, 6, 6))
+        w[0, 1, [0, 3]] = np.nan
+        w[1, 2, :] = np.nan
+        for k in (2, 4, 6):
+            out = G.knn_sparsify(self._graph(w), k)
+            assert np.array_equal(out.mask, argsort_knn_mask(w, k))
 
     def test_idempotent(self):
         rng = np.random.default_rng(10)

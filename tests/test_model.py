@@ -33,6 +33,22 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             micro_config(variant="re_f1", n_vars=None)
 
+    def test_knn_k_checked_against_graph_nodes(self):
+        for bad in (0, -1):
+            with pytest.raises(ConfigError):
+                micro_config(knn_k=bad)
+        with pytest.raises(ConfigError):
+            micro_config(knn_k=5)  # local windows hold 2 * n_vars = 4 nodes
+        with pytest.raises(ConfigError):
+            micro_config(knn_k=3, variant="re_c1")  # one step holds n_vars = 2 nodes
+        micro_config(knn_k=100, variant="re_c2")  # global mode keeps every edge
+        micro_config(knn_k=100, variant="wo_cse")  # no spatial pathway
+        micro_config(knn_k=100, n_vars=None)  # node count unknown until forward
+        w = np.random.default_rng(0).normal(size=(2, 8))
+        for k, variant in ((4, "full"), (2, "re_c1")):
+            out = SeedModel(micro_config(knn_k=k, variant=variant)).forward(w)
+            assert out.shape == (2, 4) and np.all(np.isfinite(out.data))
+
     def test_n_patches_ceil(self):
         assert ModelConfig(lookback=96, patch_len=20).n_patches == 5
         assert ModelConfig(lookback=96, patch_len=16).n_patches == 6

@@ -155,6 +155,21 @@ class TestDftOp:
 
         assert T.grad_check(f, T.Tensor(rng.normal(size=6)), eps=1e-6) < 1e-6
 
+    def test_gradient_batched_at_lookback(self):
+        rng = np.random.default_rng(9)
+        shape = (2, 3, 96)
+        wr = T.Tensor(rng.normal(size=shape))
+        wi = T.Tensor(rng.normal(size=shape))
+
+        def f(t):
+            re, im = T.dft_real(t)
+            # Power scaled by 1/L (Parseval) keeps the output, and so the
+            # finite-difference roundoff, at the size of sum(x^2).
+            power = T.tsum(re * re + im * im) * (1.0 / shape[-1])
+            return T.tsum(re * wr) + T.tsum(im * wi) + power
+
+        assert T.grad_check(f, T.Tensor(rng.normal(size=shape)), eps=1e-6) < 1e-6
+
 
 class TestNoGrad:
     def test_no_tape_inside(self):
