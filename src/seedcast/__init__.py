@@ -32,7 +32,7 @@ from .spectral import (  # noqa: E402
     generate_synthetic,
     spectral_entropy,
 )
-from .model import ModelConfig, SeedModel, apply_variant, count_params  # noqa: E402
+from .model import ModelConfig, SeedModel, apply_variant  # noqa: E402
 from .training import (  # noqa: E402
     Adam,
     MetricsReport,
@@ -53,7 +53,7 @@ __all__ = [
     "MetricsReport", "ModelConfig", "NumericError", "RngState", "SeedModel",
     "ShapeError", "ShapingFilter", "SyntheticSpec", "Tensor", "TrainConfig",
     "WindowSample", "acf_entropy_study", "apply_filter", "apply_variant",
-    "autocorrelation", "count_params", "evaluate", "evaluate_dependencies",
+    "autocorrelation", "evaluate", "evaluate_dependencies",
     "fft_real", "generate_synthetic", "grad_check", "ifft_real", "load_csv",
     "loss_pred", "loss_spen", "make_splits", "no_grad", "spectral_entropy",
     "split", "total_loss", "train", "windows",

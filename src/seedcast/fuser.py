@@ -10,19 +10,10 @@ inputs coordinate-wise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
 from .errors import ShapeError
-
-
-@dataclass
-class FusionWeights:
-    """Blend weights w in [0,1], one per (variable, patch)."""
-
-    w: np.ndarray
 
 
 def patch_similarity(t_feat: T.Tensor, e_feat: T.Tensor) -> T.Tensor:

@@ -10,10 +10,10 @@ shared seed yields comparable runs.
 from __future__ import annotations
 
 import contextlib
-import io
 import json
-import struct
-from dataclasses import dataclass
+import os
+import zipfile
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .embedding import (
     positional_encoding,
     project_output,
 )
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .fuser import blend, fusion_weights, patch_similarity
 from .graph import DistanceParams, GcnParams, SpatialParams, context_spatial_extract
 from .rng import RngState
@@ -46,8 +46,8 @@ VARIANTS = (
     "re_c2",
 )
 
-_CKPT_MAGIC = b"SEEDCKPT"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
+_CKPT_META = "__meta__"  # 0-d str array: JSON {"version", "config"}; no parameter has this name
 
 
 @dataclass
@@ -120,17 +120,7 @@ class ModelConfig:
         return -(-self.lookback // self.patch_len)
 
     def to_dict(self) -> dict:
-        d = {
-            "lookback": self.lookback, "horizon": self.horizon,
-            "patch_len": self.patch_len, "d_model": self.d_model,
-            "attn_heads": self.attn_heads, "gcn_heads": self.gcn_heads,
-            "knn_k": self.knn_k, "graph_variant": self.graph_variant,
-            "pool": self.pool, "lambda": self.lam, "n_layers": self.n_layers,
-            "revin": self.revin, "detach_entropy": self.detach_entropy,
-            "variant": self.variant, "seed": self.seed, "n_vars": self.n_vars,
-            "gcn_activation": self.gcn_activation, "per_head_q": self.per_head_q,
-        }
-        return d
+        return config_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -138,6 +128,11 @@ class ModelConfig:
         if "lambda" in d:
             d["lam"] = d.pop("lambda")
         return cls(**d)
+
+
+def config_dict(cfg) -> dict:
+    """A config dataclass as a plain dict; the ``lam`` field is written as "lambda"."""
+    return {"lambda" if f.name == "lam" else f.name: getattr(cfg, f.name) for f in fields(cfg)}
 
 
 def apply_variant(config: ModelConfig) -> dict:
@@ -203,7 +198,8 @@ class SeedModel:
         def zeros(shape):
             return T.Tensor(np.zeros(shape), requires_grad=True)
 
-        self.filter = ShapingFilter(L)
+        # Detached entropy gives the filter no gradient, so it exists only when it trains.
+        self.filter = None if config.detach_entropy else ShapingFilter(L)
         self.embed = EmbedParams(w((P, D), P**-0.5), zeros(D), positional_encoding(N, D))
         self.layers: list[LayerParams] = []
         for _ in range(config.n_layers):
@@ -238,12 +234,10 @@ class SeedModel:
     # -- parameter registry ---------------------------------------------------
 
     def named_params(self) -> dict[str, T.Tensor]:
-        reg: dict[str, T.Tensor] = {
-            "filter.re": self.filter.w_re,
-            "filter.im": self.filter.w_im,
-            "embed.weight": self.embed.weight,
-            "embed.bias": self.embed.bias,
-        }
+        reg: dict[str, T.Tensor] = {}
+        if self.filter is not None:
+            reg.update({"filter.re": self.filter.w_re, "filter.im": self.filter.w_im})
+        reg.update({"embed.weight": self.embed.weight, "embed.bias": self.embed.bias})
         for i, lp in enumerate(self.layers):
             pre = f"layer{i}."
             a = lp.attn
@@ -275,6 +269,9 @@ class SeedModel:
 
     def load_state_arrays(self, state: dict[str, np.ndarray]):
         reg = self.named_params()
+        missing = reg.keys() - state.keys()
+        if missing:
+            raise ConfigError(f"state lacks parameters {sorted(missing)}")
         for k, v in state.items():
             if k not in reg:
                 raise ConfigError(f"unknown parameter {k!r} in state")
@@ -300,6 +297,8 @@ class SeedModel:
             raise ConfigError(f"window length {x.shape[-1]} != lookback {cfg.lookback}")
         if cfg.n_vars is not None and x.shape[-2] != cfg.n_vars:
             raise ConfigError(f"window has {x.shape[-2]} variables, config says {cfg.n_vars}")
+        if not np.isfinite(x).all():
+            raise InputError("window holds non-finite values")
 
         if cfg.revin:
             xn, stats = instance_normalize(x)
@@ -356,62 +355,36 @@ class SeedModel:
     # -- checkpointing --------------------------------------------------------------
 
     def save(self, path: str):
-        """Self-describing flat file: magic, version, config JSON, named f64 blobs."""
-        buf = io.BytesIO()
-        buf.write(_CKPT_MAGIC)
-        buf.write(struct.pack("<I", _CKPT_VERSION))
-        cfg = json.dumps(self.config.to_dict(), sort_keys=True).encode()
-        buf.write(struct.pack("<I", len(cfg)))
-        buf.write(cfg)
-        state = self.state_arrays()
-        buf.write(struct.pack("<I", len(state)))
-        for name, arr in state.items():
-            nb = name.encode()
-            buf.write(struct.pack("<H", len(nb)))
-            buf.write(nb)
-            buf.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                buf.write(struct.pack("<I", dim))
-            buf.write(arr.astype("<f8").tobytes())
-        with open(path, "wb") as fh:
-            fh.write(buf.getvalue())
+        """npz archive: one float64 array per parameter, plus version and config JSON.
+
+        Written beside ``path`` and renamed over it, so an interrupted save
+        never leaves a partial checkpoint under the final name.
+        """
+        meta = json.dumps({"version": _CKPT_VERSION, "config": self.config.to_dict()},
+                          sort_keys=True)
+        tmp = path + ".tmp"
+        with open(tmp, "wb") as fh:  # a file name would get ".npz" appended
+            np.savez(fh, **{_CKPT_META: np.array(meta)}, **self.state_arrays())
+        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path: str) -> "SeedModel":
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        off = 0
-        if raw[:8] != _CKPT_MAGIC:
-            raise ConfigError(f"{path}: not a model checkpoint (bad magic)")
-        off = 8
-        (version,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        if version != _CKPT_VERSION:
-            raise ConfigError(f"{path}: unsupported checkpoint version {version}")
-        (clen,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        config = ModelConfig.from_dict(json.loads(raw[off : off + clen].decode()))
-        off += clen
-        (n_params,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        state: dict[str, np.ndarray] = {}
-        for _ in range(n_params):
-            (nlen,) = struct.unpack_from("<H", raw, off)
-            off += 2
-            name = raw[off : off + nlen].decode()
-            off += nlen
-            (ndim,) = struct.unpack_from("<B", raw, off)
-            off += 1
-            shape = struct.unpack_from(f"<{ndim}I", raw, off) if ndim else ()
-            off += 4 * ndim
-            count = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape)
-            off += 8 * count
-            state[name] = arr.copy()
-        model = cls(config)
-        model.load_state_arrays(state)
+        """Read a checkpoint written by ``save``; any unreadable file is a ConfigError."""
+        try:
+            with np.load(path, allow_pickle=False) as ckpt:
+                # Check every member's CRC, even where a corrupt header would cut a read short.
+                if ckpt.zip.testzip() is not None:
+                    raise ValueError("archive member fails its CRC check")
+                state = {name: ckpt[name] for name in ckpt.files}
+            meta = json.loads(state.pop(_CKPT_META).item())
+            if meta["version"] != _CKPT_VERSION:
+                raise ValueError(f"checkpoint version {meta['version']}, "
+                                 f"this build reads {_CKPT_VERSION}")
+            model = cls(ModelConfig.from_dict(meta["config"]))
+            model.load_state_arrays(state)
+        # TypeError: a bare .npy file (no context manager) or JSON of the wrong shape.
+        # RuntimeError: zipfile's verdict on a corrupt flag, method or version field.
+        except (OSError, ValueError, EOFError, KeyError, TypeError, RuntimeError,
+                zipfile.BadZipFile) as exc:
+            raise ConfigError(f"{path}: not a readable model checkpoint ({exc})") from exc
         return model
-
-
-def count_params(model: SeedModel) -> int:
-    return model.count_params()

@@ -482,37 +482,19 @@ def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
     returns the max over entries of x.
     """
     leaf = Tensor(x.data.copy(), requires_grad=True)
-    out = f(leaf)
-    if not np.all(np.isfinite(out.data)):
-        raise NumericError("grad_check: function returned non-finite output")
-    out.backward()
-    analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-
-    flat = leaf.data.reshape(-1)
-    worst = 0.0
-    with no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = float(f(leaf).data)
-            flat[i] = orig - eps
-            lo = float(f(leaf).data)
-            flat[i] = orig
-            if not (np.isfinite(hi) and np.isfinite(lo)):
-                raise NumericError("grad_check: non-finite output under perturbation")
-            numeric = (hi - lo) / (2.0 * eps)
-            err = abs(analytic.reshape(-1)[i] - numeric) / max(1.0, abs(numeric))
-            worst = max(worst, err)
-    return worst
+    return float(grad_check_many(lambda: f(leaf), [leaf], eps).max(initial=0.0))
 
 
 def grad_check_many(f, tensors, eps: float = 1e-5) -> np.ndarray:
     """Per-entry relative errors for a scalar function of several tensors.
 
     ``f()`` must read the passed tensors by reference. Returns the
-    concatenated array of relative errors across all entries.
+    concatenated array of relative errors across all entries. Raises
+    NumericError when f is non-finite at the point or under a perturbation.
     """
     out = f()
+    if not np.all(np.isfinite(out.data)):
+        raise NumericError("grad_check: function returned non-finite output")
     out.backward()
     analytic = [
         t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in tensors
@@ -532,6 +514,8 @@ def grad_check_many(f, tensors, eps: float = 1e-5) -> np.ndarray:
                 flat[i] = orig - eps
                 lo = float(f().data)
                 flat[i] = orig
+                if not (np.isfinite(hi) and np.isfinite(lo)):
+                    raise NumericError("grad_check: non-finite output under perturbation")
                 numeric = (hi - lo) / (2.0 * eps)
                 errs.append(abs(aflat[i] - numeric) / max(1.0, abs(numeric)))
     return np.asarray(errs)

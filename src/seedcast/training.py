@@ -9,7 +9,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DataError, DivergenceError, ShapeError
-from .model import SeedModel
+from .model import SeedModel, config_dict
 from .rng import RngState
 from .spectral import entropy_tensor
 
@@ -122,11 +122,7 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs, "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate, "lambda": self.lam,
-            "patience": self.patience, "seed": self.seed,
-        }
+        return config_dict(self)
 
 
 @dataclass

@@ -6,6 +6,7 @@ import pytest
 
 from seedcast import cli
 from seedcast import data as D
+from seedcast.model import ModelConfig, SeedModel
 
 TINY = ["--lookback", "16", "--horizon", "4", "--patch-len", "4",
         "--d-model", "8", "--heads", "2", "--layers", "1",
@@ -106,6 +107,18 @@ class TestEval:
         code = run(["eval", "--ckpt", str(tmp_path / "missing.ckpt"),
                     "--data", tiny_csv, "--split", "6:2:2"])
         assert code == 1
+
+    def test_truncated_checkpoint_fails_cleanly(self, tiny_csv, tmp_path, capsys):
+        ckpt = str(tmp_path / "model.ckpt")
+        SeedModel(ModelConfig(lookback=16, horizon=4, patch_len=4, d_model=8,
+                              attn_heads=2, gcn_heads=2, n_layers=1, n_vars=4)).save(ckpt)
+        raw = open(ckpt, "rb").read()
+        with open(ckpt, "wb") as fh:
+            fh.write(raw[: len(raw) // 2])
+        code = run(["eval", "--ckpt", ckpt, "--data", tiny_csv, "--split", "6:2:2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestAnalyze:

@@ -1,10 +1,11 @@
+import json
 import os
 
 import numpy as np
 import pytest
 
 from seedcast import tensor as T
-from seedcast.errors import ConfigError
+from seedcast.errors import ConfigError, InputError
 from seedcast.model import VARIANTS, ModelConfig, SeedModel, apply_variant
 
 MICRO = dict(lookback=8, horizon=4, patch_len=4, d_model=8,
@@ -105,6 +106,17 @@ class TestForward:
         with pytest.raises(ConfigError):
             model.forward(np.zeros((3, 8)))
 
+    def test_non_finite_window_rejected(self):
+        model = SeedModel(micro_config())
+        batch = np.random.default_rng(13).normal(size=(3, 2, 8))
+        for bad in (np.nan, np.inf, -np.inf):
+            w = batch.copy()
+            w[1, 0, 5] = bad  # one value of one variable in one window
+            with pytest.raises(InputError):
+                model.forward(w)
+            with pytest.raises(InputError):
+                model.forward(w[1])
+
     def test_every_variant_runs(self):
         w = np.random.default_rng(4).normal(size=(2, 8))
         for v in VARIANTS:
@@ -185,23 +197,45 @@ class TestCountParams:
                      + D * 2 * D + 2 * D + 2 * D * D + D  # feed-forward
                      + 4 * D                # two layer norms
                      + C + 2 * D + 1)       # fusion extras (re_f1 / re_f3)
-        expected = (2 * L                   # shaping filter
-                    + P * D + D             # embedding
+        expected = (P * D + D               # embedding
                     + cfg.n_layers * per_layer
                     + N * D * T_ + T_)      # head
         assert model.count_params() == expected
+        # The 2L shaping-filter weights exist only where they train.
+        trained = SeedModel(micro_config(detach_entropy=False))
+        assert trained.count_params() == expected + 2 * L
+
+
+def _saved(tmp_path, **kw):
+    model = SeedModel(micro_config(seed=13, **kw))
+    path = os.path.join(tmp_path, "m.ckpt")
+    model.save(path)
+    return model, path
+
+
+def _rewrite(path, raw):
+    with open(path, "wb") as fh:
+        fh.write(raw)
 
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        model = SeedModel(micro_config(seed=13))
         w = np.random.default_rng(12).normal(size=(2, 8))
-        before = model.forward(w).data
-        path = os.path.join(tmp_path, "m.ckpt")
-        model.save(path)
-        again = SeedModel.load(path)
-        assert again.config == model.config
-        assert np.array_equal(again.forward(w).data, before)
+        for detach in (True, False):
+            model, path = _saved(tmp_path, detach_entropy=detach)
+            assert ("filter.re" in model.named_params()) is not detach
+            again = SeedModel.load(path)
+            assert again.config == model.config
+            assert again.named_params().keys() == model.named_params().keys()
+            assert np.array_equal(again.forward(w).data, model.forward(w).data)
+
+    def test_save_is_npz_under_the_given_name(self, tmp_path):
+        model, path = _saved(tmp_path)
+        assert sorted(os.listdir(tmp_path)) == ["m.ckpt"]  # no ".npz" suffix, no temp file
+        with np.load(path, allow_pickle=False) as ckpt:
+            for name, p in model.named_params().items():
+                assert ckpt[name].dtype == np.float64
+                assert np.array_equal(ckpt[name], p.data)
 
     def test_bad_magic(self, tmp_path):
         path = os.path.join(tmp_path, "junk.ckpt")
@@ -210,11 +244,61 @@ class TestCheckpoint:
         with pytest.raises(ConfigError):
             SeedModel.load(path)
 
+    def test_truncated(self, tmp_path):
+        _, path = _saved(tmp_path)
+        raw = open(path, "rb").read()
+        for cut in (0, 3, 30, 400, len(raw) // 2, len(raw) - 200, len(raw) - 1):
+            _rewrite(path, raw[:cut])
+            with pytest.raises(ConfigError):
+                SeedModel.load(path)
+
+    def test_single_flipped_byte(self, tmp_path):
+        model, path = _saved(tmp_path, lookback=96, horizon=96, patch_len=16)
+        raw = open(path, "rb").read()
+        weights = raw.find(model.head.weight.data.tobytes())
+        # "<f8" -> "<f4" on the 36 kB head keeps its shape but halves the bytes
+        # read, so the CRC of that member is checked only by a full scan.
+        descr = raw.find(b"'descr': '<f8'", raw.find(b"head.weight.npy"))
+        descr += len(b"'descr': '<f")
+        meta = raw.find(b'"version"')
+        central = raw.rfind(b"PK\x01\x02")  # last central-directory entry
+        for off, mask in ((weights + 100, 0x01), (descr, 0x0C), (meta + 3, 0x20),
+                          (central + 10, 0xFF),       # its compression method
+                          (len(raw) - 30, 0xFF)):     # its file name
+            flipped = bytearray(raw)
+            flipped[off] ^= mask
+            _rewrite(path, bytes(flipped))
+            with pytest.raises(ConfigError):
+                SeedModel.load(path)
+
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_version_mismatch(self, tmp_path, version):
+        model, path = _saved(tmp_path)
+        with np.load(path, allow_pickle=False) as ckpt:
+            arrays = dict(ckpt)
+        (key,) = arrays.keys() - model.named_params().keys()
+        meta = json.loads(arrays[key].item())
+        arrays[key] = np.array(json.dumps({**meta, "version": version}))
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ConfigError, match="version"):
+            SeedModel.load(path)
+
     def test_state_shape_mismatch(self):
         model = SeedModel(micro_config())
         other = SeedModel(micro_config(d_model=16))
         with pytest.raises(ConfigError):
             other.load_state_arrays(model.state_arrays())
+
+    def test_state_missing_parameter(self):
+        model = SeedModel(micro_config())
+        state = model.state_arrays()
+        del state["head.bias"]
+        with pytest.raises(ConfigError, match="head.bias"):
+            model.load_state_arrays(state)
+        # A default model has no filter, so its state cannot fill a trained one.
+        with pytest.raises(ConfigError, match="filter"):
+            SeedModel(micro_config(detach_entropy=False)).load_state_arrays(model.state_arrays())
 
 
 class TestFullModelGradient:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from seedcast import tensor as T
-from seedcast.errors import ShapeError
+from seedcast.errors import NumericError, ShapeError
 
 
 def triple_loop_matmul(a, b):
@@ -81,6 +81,19 @@ class TestGradCheck:
         leaf = T.Tensor(x.data, requires_grad=True)
         T.tsum(leaf * leaf).backward()
         assert np.allclose(leaf.grad, [2.0, 4.0], atol=1e-12)
+
+    def test_non_finite_output_raises(self):
+        def f(t):
+            return T.tsum(T.log(t))
+
+        with np.errstate(all="ignore"):
+            for x in ([-1.0, 2.0],   # NaN at the point itself
+                      [0.0, 2.0]):   # -inf at the point, NaN under perturbation
+                with pytest.raises(NumericError):
+                    T.grad_check(f, T.Tensor(x))
+            x = T.Tensor([1e-6, 2.0], requires_grad=True)  # finite, NaN at x - eps
+            with pytest.raises(NumericError, match="perturbation"):
+                T.grad_check_many(lambda: f(x), [x], eps=1e-5)
 
     def test_tanh(self):
         rng = np.random.default_rng(3)
