@@ -165,33 +165,6 @@ def gcn(window: T.Tensor, graph: SignedGraph, params: GcnParams) -> T.Tensor:
     return window + out
 
 
-def overlap_pool(
-    e_prev: T.Tensor | None, e_curr: T.Tensor | None, mode: str = "mean"
-) -> T.Tensor:
-    """Pool the two views of one patch: slot 1 of window k-1 and slot 0 of window k.
-
-    Boundary patches pass ``None`` for the missing side and keep their single view.
-    Inputs are (..., 2C, D); output is (..., C, D).
-    """
-    if e_prev is None and e_curr is None:
-        raise ShapeError("overlap_pool needs at least one window")
-
-    def _slot(e: T.Tensor, j: int) -> T.Tensor:
-        n, d = e.shape[-2], e.shape[-1]
-        return e.reshape(e.shape[:-2] + (n // 2, 2, d))[..., :, j, :]
-
-    if e_prev is None:
-        return _slot(e_curr, 0)
-    if e_curr is None:
-        return _slot(e_prev, 1)
-    a, b = _slot(e_prev, 1), _slot(e_curr, 0)
-    if mode == "mean":
-        return (a + b) * 0.5
-    if mode == "max":
-        return T.maximum(a, b)
-    raise ConfigError(f"unknown pool mode {mode!r}")
-
-
 def pool_windows(gcn_out: T.Tensor, mode: str = "mean") -> T.Tensor:
     """All patches at once: (..., K, 2C, D) window outputs -> (..., C, N, D)."""
     k2, n2, d = gcn_out.shape[-3], gcn_out.shape[-2], gcn_out.shape[-1]

@@ -49,6 +49,10 @@ VARIANTS = (
 _CKPT_VERSION = 2
 _CKPT_META = "__meta__"  # 0-d str array: JSON {"version", "config"}; no parameter has this name
 
+# A no-tape forward runs its batch in blocks of windows whose largest intermediate
+# fits in this many bytes, so temporaries stay in cache whatever the batch size.
+_BLOCK_BYTES = 1 << 20
+
 
 @dataclass
 class ModelConfig:
@@ -285,7 +289,43 @@ class SeedModel:
     # -- forward ----------------------------------------------------------------
 
     def forward(self, window, force_fusion_weight: float | None = None) -> T.Tensor:
-        """Forecast (C, T) from a (C, L) window; batched (B, C, L) works too."""
+        """Forecast (C, T) from a (C, L) window; batched (B, C, L) works too.
+
+        Without a tape the batch runs in blocks of ``block_windows`` windows;
+        a taped forward is one block, so its tape spans the whole batch.
+        """
+        x, single = self._as_batch(window)
+        if T.grad_enabled():
+            out = self._forward_block(x, force_fusion_weight)
+        else:
+            step = self.block_windows(x.shape[1])
+            # max(.., 1): an empty batch still runs once and keeps its (0, C, T) shape.
+            out = T.Tensor(np.concatenate([
+                self._forward_block(x[i : i + step], force_fusion_weight).data
+                for i in range(0, max(len(x), 1), step)
+            ]))
+        return out[0] if single else out
+
+    def block_windows(self, n_vars: int) -> int:
+        """Windows per block of a no-tape forward over ``n_vars`` variables.
+
+        The byte budget over one window's float64 share of the largest
+        intermediate: the FFN hidden layer, the attention scores or the
+        spatial pathway's per-head signed graphs.
+        """
+        cfg, wiring = self.config, self.wiring
+        n = cfg.n_patches
+        sizes = [n_vars * n * 2 * cfg.d_model]  # FFN hidden (C, N, 2D)
+        if wiring["temporal"]:
+            sizes.append(n_vars * cfg.attn_heads * n * n)  # scores (C, heads, N, N)
+        if wiring["spatial"]:
+            graphs, nodes = {"local": (n - 1, 2 * n_vars), "same_step": (n, n_vars),
+                             "global": (1, n_vars * n)}[wiring["spatial_mode"]]
+            sizes.append(graphs * cfg.gcn_heads * nodes * nodes)  # (graphs, H, nodes, nodes)
+        return max(1, _BLOCK_BYTES // (8 * max(sizes)))
+
+    def _as_batch(self, window) -> tuple[np.ndarray, bool]:
+        """A checked (B, C, L) float64 batch, and whether ``window`` was one (C, L) window."""
         x = np.asarray(window, dtype=np.float64)
         single = x.ndim == 2
         if single:
@@ -299,7 +339,11 @@ class SeedModel:
             raise ConfigError(f"window has {x.shape[-2]} variables, config says {cfg.n_vars}")
         if not np.isfinite(x).all():
             raise InputError("window holds non-finite values")
+        return x, single
 
+    def _forward_block(self, x: np.ndarray, force_fusion_weight) -> T.Tensor:
+        """The whole pipeline on a checked (B, C, L) batch: (B, C, T)."""
+        cfg = self.config
         if cfg.revin:
             xn, stats = instance_normalize(x)
         else:
@@ -310,17 +354,15 @@ class SeedModel:
         tokens = patch_and_embed(xn, self.embed).values  # (B, C, N, D)
         for lp in self.layers:
             tokens = self._encoder_layer(tokens, ent, lp, force_fusion_weight)
-        out = project_output(tokens, self.head, stats)  # (B, C, T)
-        return out[0] if single else out
+        return project_output(tokens, self.head, stats)
 
     def entropy_of(self, window) -> np.ndarray:
-        """Per-variable entropy exactly as the forward pass sees it."""
-        x = np.asarray(window, dtype=np.float64)
-        if x.ndim == 2:
-            x = x[None]
+        """Per-variable entropy exactly as the forward pass sees it: (C,) or (B, C)."""
+        x, single = self._as_batch(window)
         xn = instance_normalize(x)[0] if self.config.revin else x
         with T.no_grad():
-            return entropy_tensor(T.Tensor(xn), self.filter, degenerate="zero").data[0]
+            ent = entropy_tensor(T.Tensor(xn), self.filter, degenerate="zero").data
+        return ent[0] if single else ent
 
     def _encoder_layer(self, x, ent, lp: LayerParams, force_w):
         wiring = self.wiring

@@ -34,6 +34,11 @@ class no_grad:
         return False
 
 
+def grad_enabled() -> bool:
+    """True when ops record a tape, i.e. outside every ``no_grad`` block."""
+    return _GRAD_ENABLED
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -185,6 +190,12 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     return grad
 
 
+def _binary_bw(a: Tensor, b: Tensor, grad_a, grad_b):
+    """Backward of a two-operand op that builds only the gradients a parent keeps."""
+    return lambda g: (grad_a(g) if a.requires_grad else None,
+                      grad_b(g) if b.requires_grad else None)
+
+
 def _check_broadcast(a: Tensor, b: Tensor, opname: str):
     if a.data.shape == b.data.shape:
         return
@@ -203,7 +214,7 @@ def add(a, b) -> Tensor:
     return _node(
         a.data + b.data,
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
+        _binary_bw(a, b, lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape)),
     )
 
 
@@ -213,7 +224,7 @@ def sub(a, b) -> Tensor:
     return _node(
         a.data - b.data,
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
+        _binary_bw(a, b, lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(-g, b.shape)),
     )
 
 
@@ -223,7 +234,8 @@ def mul(a, b) -> Tensor:
     return _node(
         a.data * b.data,
         (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
+        _binary_bw(a, b, lambda g: _unbroadcast(g * b.data, a.shape),
+                   lambda g: _unbroadcast(g * a.data, b.shape)),
     )
 
 
@@ -233,10 +245,8 @@ def div(a, b) -> Tensor:
     return _node(
         a.data / b.data,
         (a, b),
-        lambda g: (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-        ),
+        _binary_bw(a, b, lambda g: _unbroadcast(g / b.data, a.shape),
+                   lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape)),
     )
 
 
@@ -244,12 +254,13 @@ def maximum(a, b) -> Tensor:
     """Elementwise max; on ties the gradient routes to the first argument."""
     a, b = _ensure(a), _ensure(b)
     _check_broadcast(a, b, "maximum")
-    mask = (a.data >= b.data).astype(np.float64)
-    return _node(
-        np.maximum(a.data, b.data),
-        (a, b),
-        lambda g: (_unbroadcast(g * mask, a.shape), _unbroadcast(g * (1.0 - mask), b.shape)),
-    )
+
+    def _bw(g):
+        mask = (a.data >= b.data).astype(np.float64)
+        return (_unbroadcast(g * mask, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * (1.0 - mask), b.shape) if b.requires_grad else None)
+
+    return _node(np.maximum(a.data, b.data), (a, b), _bw)
 
 
 # -- elementwise unary ops ----------------------------------------------------
@@ -310,17 +321,16 @@ def relu(a) -> Tensor:
 
 def absolute(a) -> Tensor:
     a = _ensure(a)
-    sign = np.sign(a.data)
-    return _node(np.abs(a.data), (a,), lambda g: (g * sign,))
+    return _node(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
 
 
 def xlogx(a, tiny: float = 1e-300) -> Tensor:
     """x*log(x) with the 0*log(0) -> 0 limit; gradient clamped to 0 there."""
     a = _ensure(a)
-    safe = np.where(a.data > tiny, a.data, 1.0)
-    out = np.where(a.data > tiny, a.data * np.log(safe), 0.0)
-    dgrad = np.where(a.data > tiny, np.log(safe) + 1.0, 0.0)
-    return _node(out, (a,), lambda g: (g * dgrad,))
+    pos = a.data > tiny
+    logx = np.log(np.where(pos, a.data, 1.0))
+    out = np.where(pos, a.data * logx, 0.0)
+    return _node(out, (a,), lambda g: (g * np.where(pos, logx + 1.0, 0.0),))
 
 
 # -- shape ops ----------------------------------------------------------------
@@ -424,18 +434,19 @@ def matmul(a, b) -> Tensor:
         k, n = b.shape
         a2 = a.data.reshape(-1, k)
 
-        def _bw2(g):
-            g2 = g.reshape(-1, n)
-            return ((g2 @ b.data.T).reshape(a.shape), a2.T @ g2)
+        return _node(
+            (a2 @ b.data).reshape(a.shape[:-1] + (n,)),
+            (a, b),
+            _binary_bw(a, b, lambda g: (g.reshape(-1, n) @ b.data.T).reshape(a.shape),
+                       lambda g: a2.T @ g.reshape(-1, n)),
+        )
 
-        return _node((a2 @ b.data).reshape(a.shape[:-1] + (n,)), (a, b), _bw2)
-
-    def _bw(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
-
-    return _node(a.data @ b.data, (a, b), _bw)
+    return _node(
+        a.data @ b.data,
+        (a, b),
+        _binary_bw(a, b, lambda g: _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
+                   lambda g: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)),
+    )
 
 
 def softmax(a, axis: int = -1) -> Tensor:

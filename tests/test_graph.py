@@ -25,6 +25,25 @@ def argsort_knn_mask(weights, k):
     return mask
 
 
+def overlap_pool(e_prev, e_curr, mode="mean"):
+    """Reference pooling of one patch: slot 1 of window k-1 and slot 0 of window k.
+
+    Boundary patches pass ``None`` for the missing side and keep their single
+    view. Inputs are (..., 2C, D); output is (..., C, D).
+    """
+
+    def _slot(e, j):
+        n, d = e.shape[-2], e.shape[-1]
+        return e.reshape(e.shape[:-2] + (n // 2, 2, d))[..., :, j, :]
+
+    if e_prev is None:
+        return _slot(e_curr, 0)
+    if e_curr is None:
+        return _slot(e_prev, 1)
+    a, b = _slot(e_prev, 1), _slot(e_curr, 0)
+    return (a + b) * 0.5 if mode == "mean" else T.maximum(a, b)
+
+
 class TestMakeWindows:
     def test_counts(self):
         tokens = T.Tensor(np.random.default_rng(0).normal(size=(7, 6, 4)))
@@ -257,20 +276,20 @@ class TestOverlapPool:
     def test_mean_of_equal_slices(self):
         rng = np.random.default_rng(17)
         e = rng.normal(size=(6, 4))  # 3 variables, 2 slots each
-        out = G.overlap_pool(T.Tensor(e), T.Tensor(np.roll(e, 1, axis=0)), "mean")
+        out = overlap_pool(T.Tensor(e), T.Tensor(np.roll(e, 1, axis=0)), "mean")
         prev_slot1 = e.reshape(3, 2, 4)[:, 1]
         curr_slot0 = np.roll(e, 1, axis=0).reshape(3, 2, 4)[:, 0]
         assert np.abs(out.data - 0.5 * (prev_slot1 + curr_slot0)).max() < 1e-15
 
     def test_one_side_zero_halves(self):
         e = np.random.default_rng(18).normal(size=(4, 3))
-        out = G.overlap_pool(T.Tensor(e), T.Tensor(np.zeros_like(e)), "mean")
+        out = overlap_pool(T.Tensor(e), T.Tensor(np.zeros_like(e)), "mean")
         assert np.abs(out.data - e.reshape(2, 2, 3)[:, 1] / 2).max() < 1e-15
 
     def test_boundary_takes_single_view(self):
         e = np.random.default_rng(19).normal(size=(4, 3))
-        first = G.overlap_pool(None, T.Tensor(e))
-        last = G.overlap_pool(T.Tensor(e), None)
+        first = overlap_pool(None, T.Tensor(e))
+        last = overlap_pool(T.Tensor(e), None)
         assert np.array_equal(first.data, e.reshape(2, 2, 3)[:, 0])
         assert np.array_equal(last.data, e.reshape(2, 2, 3)[:, 1])
 
@@ -282,8 +301,19 @@ class TestOverlapPool:
         for p in range(n):
             prev = T.Tensor(gout[p - 1]) if p > 0 else None
             curr = T.Tensor(gout[p]) if p < n - 1 else None
-            ref = G.overlap_pool(prev, curr, "mean").data
+            ref = overlap_pool(prev, curr, "mean").data
             assert np.abs(pooled[:, p] - ref).max() < 1e-15
+
+    @pytest.mark.parametrize("mode", ["mean", "max"])
+    def test_pool_windows_matches_oracle_batched(self, mode):
+        rng = np.random.default_rng(22)
+        b, c, n, d = 3, 4, 6, 5
+        gout = rng.normal(size=(b, n - 1, 2 * c, d))
+        pooled = G.pool_windows(T.Tensor(gout), mode).data  # (B, C, N, D)
+        for p in range(n):
+            prev = T.Tensor(gout[:, p - 1]) if p > 0 else None
+            curr = T.Tensor(gout[:, p]) if p < n - 1 else None
+            assert np.array_equal(pooled[:, :, p], overlap_pool(prev, curr, mode).data)
 
     def test_max_pool_variant(self):
         rng = np.random.default_rng(21)

@@ -131,6 +131,84 @@ class TestForward:
         assert model.entropy_of(w)[0] == 0.0  # degenerate row maps to zero
 
 
+class TestEntropyOf:
+    def test_batched_gives_one_row_per_window(self):
+        model = SeedModel(micro_config(seed=6))
+        batch = np.random.default_rng(14).normal(size=(4, 2, 8))
+        ent = model.entropy_of(batch)
+        assert ent.shape == (4, 2)
+        for i in range(4):
+            assert np.array_equal(ent[i], model.entropy_of(batch[i]))
+        assert model.entropy_of(batch[0]).shape == (2,)
+
+    def test_non_finite_window_rejected(self):
+        model = SeedModel(micro_config())
+        batch = np.random.default_rng(15).normal(size=(3, 2, 8))
+        batch[2, 1, 0] = np.nan
+        with pytest.raises(InputError):
+            model.entropy_of(batch)
+        with pytest.raises(InputError):
+            model.entropy_of(batch[2])
+
+
+def _default_model(variant="full", n_vars=8):
+    return SeedModel(ModelConfig(n_vars=n_vars, variant=variant, seed=21))
+
+
+def _windows(n, n_vars, seed):
+    return np.random.default_rng(seed).normal(size=(n, n_vars, 96)).cumsum(axis=-1)
+
+
+class TestBlockedForward:
+    @pytest.mark.parametrize("variant", ["full", "wo_cse", "re_c2"])
+    def test_blocks_equal_per_window_forwards(self, variant):
+        model = _default_model(variant)
+        step = model.block_windows(8)
+        batch = _windows(2 * step + 5, 8, seed=22)  # two full blocks and a partial one
+        assert 1 < step < len(batch) and len(batch) % step
+        with T.no_grad():
+            out = model.forward(batch)
+            assert out.shape == (len(batch), 8, 96) and not out.requires_grad
+            for i, w in enumerate(batch):
+                assert np.abs(out.data[i] - model.forward(w).data).max() <= 1e-12
+
+    def test_single_window_keeps_its_shape(self):
+        model = _default_model()
+        with T.no_grad():
+            assert model.forward(_windows(1, 8, seed=23)[0]).shape == (8, 96)
+
+    def test_wide_input_runs_in_few_window_blocks(self):
+        model = _default_model(n_vars=21)
+        step = model.block_windows(21)
+        assert 1 <= step <= 4  # 4 heads x 5 graphs of 42 x 42 nodes per window
+        batch = _windows(2 * step + 1, 21, seed=24)
+        with T.no_grad():
+            out = model.forward(batch).data
+            for i, w in enumerate(batch):
+                assert np.abs(out[i] - model.forward(w).data).max() <= 1e-12
+
+    def test_taped_forward_is_one_block(self, monkeypatch):
+        model = _default_model()
+        calls = []
+        block = SeedModel._forward_block
+
+        def counted(self, x, force_w):
+            calls.append(len(x))
+            return block(self, x, force_w)
+
+        monkeypatch.setattr(SeedModel, "_forward_block", counted)
+        step = model.block_windows(8)
+        batch = _windows(2 * step + 5, 8, seed=25)
+        out = model.forward(batch)
+        assert calls == [len(batch)] and out.requires_grad
+        out.sum().backward()
+        assert model.embed.weight.grad is not None  # the tape reaches the first layer
+        calls.clear()
+        with T.no_grad():
+            model.forward(batch)
+        assert calls == [step, step, 5]
+
+
 class TestChannelIndependence:
     def test_wo_cse_channels_never_mix(self):
         cfg = micro_config(variant="wo_cse", seed=7, n_vars=3)

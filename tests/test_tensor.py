@@ -197,6 +197,63 @@ class TestNoGrad:
         T.tsum(y).backward()
         assert np.allclose(x.grad, [1.0])
 
+    def test_grad_enabled_follows_no_grad(self):
+        assert T.grad_enabled()
+        with T.no_grad():
+            assert not T.grad_enabled()
+            with T.no_grad():
+                assert not T.grad_enabled()
+            assert not T.grad_enabled()
+        assert T.grad_enabled()
+
+    def test_forward_does_no_backward_only_work(self, monkeypatch):
+        x = T.Tensor(np.random.default_rng(7).uniform(-1.0, 1.0, size=(3, 4)), requires_grad=True)
+        logs = []
+        log = np.log
+
+        def counted_log(a):
+            logs.append(1)
+            return log(a)
+
+        def no_sign(a):
+            raise AssertionError("sign is backward-only")
+
+        monkeypatch.setattr(np, "log", counted_log)
+        monkeypatch.setattr(np, "sign", no_sign)
+        with T.no_grad():
+            assert np.array_equal(T.absolute(x).data, np.abs(x.data))
+            T.xlogx(T.absolute(x))
+        assert len(logs) == 1
+        T.tsum(T.xlogx(x)).backward()  # the tape's backward reuses the forward's log
+        assert len(logs) == 2
+
+
+BINARY_OPS = {
+    "add": T.add, "sub": T.sub, "mul": T.mul, "div": T.div, "maximum": T.maximum,
+    "matmul": T.matmul,
+}
+
+
+class TestConstantOperands:
+    @pytest.mark.parametrize("name", sorted(BINARY_OPS))
+    @pytest.mark.parametrize("shapes", [((2, 3, 3), (3, 3)), ((2, 3, 3), (1, 3, 3))])
+    def test_only_the_kept_gradient_is_built(self, name, shapes):
+        op = BINARY_OPS[name]
+        rng = np.random.default_rng(8)
+        xa, ca = rng.normal(size=shapes[0]), rng.uniform(0.5, 2.0, size=shapes[1])
+        g = rng.normal(size=shapes[0])  # every pairing here yields this shape
+
+        def grads(x_first, constant_needs_grad):
+            x, c = T.Tensor(xa, requires_grad=True), T.Tensor(ca, requires_grad=constant_needs_grad)
+            if x_first:
+                return op(x, c)._backward(g)
+            return op(c, x)._backward(g)[::-1]  # (grad of x, grad of c)
+
+        for x_first in (True, False):
+            gx, gc = grads(x_first, False)
+            assert gc is None
+            assert np.array_equal(gx, grads(x_first, True)[0])
+
 
 class TestBroadcasting:
     def test_trailing_bias_broadcast(self):
