@@ -43,7 +43,7 @@ from .training import (  # noqa: E402
     total_loss,
     train,
 )
-from .data import Dataset, WindowSample, load_csv, make_splits, split, windows  # noqa: E402
+from .data import Dataset, load_csv, make_splits, split  # noqa: E402
 
 __version__ = "0.1.0"
 
@@ -52,9 +52,9 @@ __all__ = [
     "DegenerateInputError", "DivergenceError", "EntropyVector", "InputError",
     "MetricsReport", "ModelConfig", "NumericError", "RngState", "SeedModel",
     "ShapeError", "ShapingFilter", "SyntheticSpec", "Tensor", "TrainConfig",
-    "WindowSample", "acf_entropy_study", "apply_filter", "apply_variant",
+    "acf_entropy_study", "apply_filter", "apply_variant",
     "autocorrelation", "evaluate", "evaluate_dependencies",
     "fft_real", "generate_synthetic", "grad_check", "ifft_real", "load_csv",
     "loss_pred", "loss_spen", "make_splits", "no_grad", "spectral_entropy",
-    "split", "total_loss", "train", "windows",
+    "split", "total_loss", "train",
 ]

@@ -1,10 +1,12 @@
-"""CSV ingestion, dataset registry with split rules, and window sampling."""
+"""CSV ingestion, dataset registry with split rules, and sliding windows."""
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,31 +87,85 @@ class Dataset:
         return self.values.shape[0]
 
 
-@dataclass
-class WindowSample:
-    lookback: np.ndarray  # (C, L)
-    target: np.ndarray    # (C, T)
-    start: int
-
-
 def load_csv(path: str, date_col: bool = False, name: str | None = None) -> Dataset:
     """Parse a headered CSV into a time x C float matrix.
 
-    Rows containing any non-finite value are dropped and counted; a parse
-    failure reports the exact row/column.
+    numpy's C reader parses the body. A file it rejects is scanned row by
+    row, which reports the first bad cell's row/column, or loads the forms
+    Python's ``float`` takes and numpy does not (``1_0``, quoted cells).
+    Rows containing any non-finite value are dropped and counted.
     """
     if not os.path.exists(path):
         raise DataError(f"no such file: {path}")
+    start_col = 1 if date_col else 0
+    try:
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            body = fh.read()
+        columns = header[start_col:]
+        values = _parse_body(body, date_col)
+        if values.shape[0] == 0 or values.shape[1] != len(columns):
+            values = _scan_rows(path, len(columns), start_col)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from None
+    finite = np.isfinite(values).all(axis=1)
+    rejected = len(values) - int(finite.sum())
+    if rejected == len(values):
+        raise DataError(f"{path}: no data rows")
+    if rejected:
+        values = values[finite]
+    if name is None:
+        name = os.path.splitext(os.path.basename(path))[0]
+    entry = REGISTRY.get(name, {})
+    return Dataset(
+        name=name,
+        values=np.ascontiguousarray(values),
+        split_ratio=entry.get("split"),
+        frequency=entry.get("freq", ""),
+        columns=columns,
+        rejected_rows=rejected,
+    )
+
+
+def _skip_date(cell: str) -> float:
+    # A quote may open a cell that spans lines or holds a comma; only the row
+    # scan splits those the way the csv module does.
+    if '"' in cell:
+        raise ValueError("quoted date cell")
+    return 0.0
+
+
+# numpy strips these around a number and Python's float does not.
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_body(body: str, date_col: bool) -> np.ndarray:
+    """The value columns of the rows after the header; (0, 0) if numpy rejects them."""
+    if any(c in body for c in _NUMPY_ONLY_SPACE):
+        return np.empty((0, 0))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            values = np.loadtxt(io.StringIO(body, newline=""), dtype=np.float64,
+                                delimiter=",", comments=None, ndmin=2,
+                                converters={0: _skip_date} if date_col else None)
+    except ValueError:
+        return np.empty((0, 0))
+    return values[:, 1:] if date_col else values
+
+
+def _scan_rows(path: str, n_values: int, start_col: int) -> np.ndarray:
+    """Row-by-row parse after the header; raises DataError at the first bad cell or row."""
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        start_col = 1 if date_col else 0
-        columns = header[start_col:]
-        rows = []
-        rejected = 0
+        next(reader)
         for i, row in enumerate(reader, start=2):  # header is line 1
             if not row:
                 continue
@@ -121,27 +177,14 @@ def load_csv(path: str, date_col: bool = False, name: str | None = None) -> Data
                     raise DataError(
                         f"{path}: row {i}, column {j}: cannot parse {cell!r}"
                     ) from None
-            if len(vals) != len(columns):
+            if len(vals) != n_values:
                 raise DataError(
-                    f"{path}: row {i} has {len(vals)} values, header has {len(columns)}"
+                    f"{path}: row {i} has {len(vals)} values, header has {n_values}"
                 )
-            if not all(np.isfinite(v) for v in vals):
-                rejected += 1
-                continue
             rows.append(vals)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    if name is None:
-        name = os.path.splitext(os.path.basename(path))[0]
-    entry = REGISTRY.get(name, {})
-    return Dataset(
-        name=name,
-        values=np.asarray(rows, dtype=np.float64),
-        split_ratio=entry.get("split"),
-        frequency=entry.get("freq", ""),
-        columns=columns,
-        rejected_rows=rejected,
-    )
+    return np.asarray(rows, dtype=np.float64)
 
 
 def write_csv(path: str, values: np.ndarray, columns: list[str] | None = None):
@@ -176,30 +219,16 @@ def split(dataset: Dataset, ratio=None) -> tuple[np.ndarray, np.ndarray, np.ndar
     return v[:a], v[a:b], v[b:]
 
 
-def windows(segment: np.ndarray, lookback: int, horizon: int, stride: int = 1
-            ) -> list[WindowSample]:
-    """All (lookback, target) samples of a segment, chronological order."""
-    segment = np.asarray(segment, dtype=np.float64)
-    n = segment.shape[0]
-    if stride < 1:
-        raise InputError(f"stride must be >= 1, got {stride}")
-    if n < lookback + horizon:
-        raise DataError(
-            f"segment length {n} < lookback + horizon ({lookback + horizon})"
-        )
-    out = []
-    for s in range(0, n - lookback - horizon + 1, stride):
-        out.append(WindowSample(
-            lookback=segment[s : s + lookback].T.copy(),
-            target=segment[s + lookback : s + lookback + horizon].T.copy(),
-            start=s,
-        ))
-    return out
-
-
 def window_arrays(segment: np.ndarray, lookback: int, horizon: int, stride: int = 1
                   ) -> SplitWindows:
-    """Vectorized form of ``windows``: x (M,C,L) and y (M,C,T) arrays."""
+    """Every ``stride``-th window of a segment, oldest first: x (M,C,L) and y (M,C,T).
+
+    Both are read-only strided views of ``segment``, so they cost no memory
+    beyond it. Code that reduces over a window copies its batch first (see
+    ``SeedModel.forward``), since numpy sums a strided axis in another order.
+    """
+    if stride < 1:
+        raise InputError(f"stride must be >= 1, got {stride}")
     segment = np.asarray(segment, dtype=np.float64)
     n = segment.shape[0]
     if n < lookback + horizon:
@@ -208,10 +237,7 @@ def window_arrays(segment: np.ndarray, lookback: int, horizon: int, stride: int 
         )
     view = np.lib.stride_tricks.sliding_window_view(segment, lookback + horizon, axis=0)
     view = view[::stride]  # (M, C, L+T)
-    return SplitWindows(
-        x=np.ascontiguousarray(view[..., :lookback]),
-        y=np.ascontiguousarray(view[..., lookback:]),
-    )
+    return SplitWindows(x=view[..., :lookback], y=view[..., lookback:])
 
 
 def standardize_by_train(values: np.ndarray, train_end: int

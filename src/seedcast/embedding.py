@@ -36,7 +36,7 @@ def instance_normalize(window: np.ndarray) -> tuple[np.ndarray, NormStats]:
     (mean-subtraction roundoff would otherwise leak through the floored
     divisor).
     """
-    window = np.asarray(window, dtype=np.float64)
+    window = np.ascontiguousarray(window, dtype=np.float64)
     mean = window.mean(axis=-1, keepdims=True)
     raw_std = window.std(axis=-1, keepdims=True)
     degenerate = raw_std < STD_FLOOR

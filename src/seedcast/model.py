@@ -326,7 +326,7 @@ class SeedModel:
 
     def _as_batch(self, window) -> tuple[np.ndarray, bool]:
         """A checked (B, C, L) float64 batch, and whether ``window`` was one (C, L) window."""
-        x = np.asarray(window, dtype=np.float64)
+        x = np.ascontiguousarray(window, dtype=np.float64)
         single = x.ndim == 2
         if single:
             x = x[None]

@@ -145,7 +145,7 @@ def spectral_entropy(
     x, filt: ShapingFilter | None = None, remove_mean: bool = True
 ) -> float:
     """Normalized spectral entropy of one series, in [0, 1]."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ShapeError(f"expected a 1-D series, got shape {x.shape}")
     with T.no_grad():
@@ -154,7 +154,7 @@ def spectral_entropy(
 
 def evaluate_dependencies(window, filt: ShapingFilter | None = None) -> EntropyVector:
     """Per-variable spectral entropy of a C x L window."""
-    window = np.asarray(window, dtype=np.float64)
+    window = np.ascontiguousarray(window, dtype=np.float64)
     if window.ndim != 2:
         raise ShapeError(f"expected a C x L window, got shape {window.shape}")
     with T.no_grad():

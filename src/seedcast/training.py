@@ -19,7 +19,7 @@ from .spectral import entropy_tensor
 
 def loss_pred(y, yhat: T.Tensor) -> T.Tensor:
     """Mean squared error over every forecast entry."""
-    y = np.asarray(y, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
     if y.shape != yhat.shape:
         raise ShapeError(f"target shape {y.shape} != forecast shape {yhat.shape}")
     diff = yhat - T.Tensor(y)
@@ -33,7 +33,7 @@ def target_entropy(y: np.ndarray, chunk: int = 512) -> np.ndarray:
     with T.no_grad():
         for i in range(0, y.shape[0], chunk):
             out[i : i + chunk] = entropy_tensor(
-                T.Tensor(y[i : i + chunk]), degenerate="zero"
+                T.Tensor(np.ascontiguousarray(y[i : i + chunk])), degenerate="zero"
             ).data
     return out
 
@@ -49,7 +49,7 @@ def loss_spen(y, yhat: T.Tensor) -> T.Tensor:
     Entropies are computed on the raw horizon-length series (no shaping
     filter); constant series map to entropy 0.
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
     if y.shape != yhat.shape:
         raise ShapeError(f"target shape {y.shape} != forecast shape {yhat.shape}")
     with T.no_grad():
@@ -146,7 +146,7 @@ class MetricsReport:
 
 @dataclass
 class SplitWindows:
-    """Materialized sliding windows for one split: x (M,C,L), y (M,C,T)."""
+    """Sliding windows for one split: x (M,C,L), y (M,C,T), often read-only views."""
 
     x: np.ndarray
     y: np.ndarray
@@ -165,18 +165,19 @@ class DatasetSplits:
 # -- evaluation -------------------------------------------------------------------
 
 
-def _forecast_batched(model: SeedModel, x: np.ndarray, batch: int = 256) -> np.ndarray:
-    outs = []
+def _forecast_batched(model: SeedModel, split: SplitWindows, batch: int = 256) -> np.ndarray:
+    """Forecasts for ``split.x``, one ``forward`` per ``batch`` windows."""
+    out = np.empty(split.y.shape)
     with T.no_grad():
-        for i in range(0, x.shape[0], batch):
-            outs.append(model.forward(x[i : i + batch]).data)
-    return np.concatenate(outs, axis=0)
+        for i in range(0, len(split), batch):
+            out[i : i + batch] = model.forward(split.x[i : i + batch]).data
+    return out
 
 
 def evaluate(model: SeedModel, split: SplitWindows, batch: int = 256) -> MetricsReport:
     """MSE/MAE over all windows of the split, on de-normalized values."""
     t0 = time.perf_counter()
-    yhat = _forecast_batched(model, split.x, batch)
+    yhat = _forecast_batched(model, split, batch)
     err = yhat - split.y
     mse_steps = (err**2).mean(axis=(0, 1))  # per horizon step
     mae_steps = np.abs(err).mean(axis=(0, 1))
@@ -190,14 +191,14 @@ def evaluate(model: SeedModel, split: SplitWindows, batch: int = 256) -> Metrics
 
 
 def validation_mse(model: SeedModel, split: SplitWindows, batch: int = 256) -> float:
-    yhat = _forecast_batched(model, split.x, batch)
+    yhat = _forecast_batched(model, split, batch)
     return float(((yhat - split.y) ** 2).mean())
 
 
 def persistence_report(split: SplitWindows) -> MetricsReport:
     """Repeat-last-value baseline: the weakest credible reference forecast."""
-    yhat = np.broadcast_to(split.x[..., -1:], split.y.shape)
-    err = yhat - split.y
+    y = np.ascontiguousarray(split.y)
+    err = np.broadcast_to(split.x[..., -1:], y.shape) - y
     return MetricsReport(
         mse=float((err**2).mean()),
         mae=float(np.abs(err).mean()),

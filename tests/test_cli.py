@@ -80,6 +80,19 @@ class TestTrain:
         code = run(["train", "--data", tiny_csv, "--out", str(tmp_path / "x")] + TINY)
         assert code == 1
 
+    @pytest.mark.parametrize("kind", ["directory", "binary"])
+    def test_unreadable_data_fails_cleanly(self, kind, tmp_path, capsys):
+        data = tmp_path / "data"
+        if kind == "directory":
+            data.mkdir()
+        else:
+            data.write_bytes(b"a,b\n1,2\n\xff\xfe,3\n")
+        code = run(["train", "--data", str(data), "--split", "6:2:2",
+                    "--out", str(tmp_path / "x")] + TINY)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestEval:
     def test_eval_reproduces_train_test_metrics(self, tiny_csv, tmp_path):

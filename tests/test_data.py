@@ -1,3 +1,7 @@
+import tracemalloc
+import warnings
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,34 @@ from seedcast.errors import DataError, InputError
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+@dataclass
+class WindowSample:
+    lookback: np.ndarray  # (C, L)
+    target: np.ndarray    # (C, T)
+    start: int
+
+
+def windows(segment: np.ndarray, lookback: int, horizon: int, stride: int = 1
+            ) -> list[WindowSample]:
+    """Oracle for ``D.window_arrays``: every sample as its own copy, chronological."""
+    segment = np.asarray(segment, dtype=np.float64)
+    n = segment.shape[0]
+    if stride < 1:
+        raise InputError(f"stride must be >= 1, got {stride}")
+    if n < lookback + horizon:
+        raise DataError(
+            f"segment length {n} < lookback + horizon ({lookback + horizon})"
+        )
+    out = []
+    for s in range(0, n - lookback - horizon + 1, stride):
+        out.append(WindowSample(
+            lookback=segment[s : s + lookback].T.copy(),
+            target=segment[s + lookback : s + lookback + horizon].T.copy(),
+            start=s,
+        ))
+    return out
 
 
 class TestLoadCsv:
@@ -57,6 +89,88 @@ class TestLoadCsv:
         again = D.load_csv(path)
         assert np.array_equal(again.values, values)
         assert again.columns == ["x", "y", "z"]
+
+    def test_round_trip_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=(1000, 5)) * 10.0 ** rng.integers(-300, 300, size=(1000, 5))
+        values[0] = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, -1 / 3]
+        path = str(tmp_path / "exact.csv")
+        D.write_csv(path, values)
+        again = D.load_csv(path)
+        assert again.values.flags.c_contiguous
+        assert again.values.tobytes() == values.tobytes()
+
+    def test_crlf_blank_lines_and_spaces(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"a,b\r\n 1 , 2\t\r\n\r\n\n3,-4e0 \r\n\r\n")
+        ds = D.load_csv(str(path))
+        assert np.array_equal(ds.values, [[1, 2], [3, -4]])
+
+    def test_python_float_forms_numpy_rejects(self, tmp_path):
+        path = write_lines(tmp_path / "forms.csv",
+                           ["a,b", '"1.5",2', "1_0,3", '4,"5"'])
+        ds = D.load_csv(path)
+        assert np.array_equal(ds.values, [[1.5, 2], [10, 3], [4, 5]])
+
+    def test_nonfinite_spellings_dropped_and_counted(self, tmp_path):
+        path = write_lines(tmp_path / "spell.csv",
+                           ["a,b", "1,2", "NaN,4", "5,-Infinity", "+inf,1e999", "7,8"])
+        ds = D.load_csv(path)
+        assert np.array_equal(ds.values, [[1, 2], [7, 8]])
+        assert ds.rejected_rows == 3
+
+    def test_only_nonfinite_rows_is_error(self, tmp_path):
+        path = write_lines(tmp_path / "allnan.csv", ["a,b", "nan,1", "2,inf"])
+        with pytest.raises(DataError, match="no data rows"):
+            D.load_csv(path)
+
+    def test_header_only_warns_nothing(self, tmp_path):
+        path = write_lines(tmp_path / "empty.csv", ["a,b", ""])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="no data rows"):
+                D.load_csv(path)
+
+    def test_bad_cell_after_many_rows_reports_coordinates(self, tmp_path):
+        rows = [f"{i},{i + 1},{i + 2}" for i in range(50)]
+        rows[40] = "40,41,4x2"
+        path = write_lines(tmp_path / "late.csv", ["a,b,c"] + rows)
+        with pytest.raises(DataError, match="row 42, column 3: cannot parse '4x2'"):
+            D.load_csv(path)
+
+    def test_space_only_python_rejects_reports_coordinates(self, tmp_path):
+        # numpy strips \x1c around a number; Python's float does not
+        path = write_lines(tmp_path / "sep.csv", ["a,b", "1,2", "3\x1c,4"])
+        with pytest.raises(DataError, match="row 3, column 1"):
+            D.load_csv(path)
+
+    def test_short_row_reports_row(self, tmp_path):
+        path = write_lines(tmp_path / "short.csv", ["a,b", "1,2", "3,4", "5"])
+        with pytest.raises(DataError, match="row 4 has 1 values, header has 2"):
+            D.load_csv(path)
+
+    def test_date_col_extra_column_rejected(self, tmp_path):
+        path = write_lines(tmp_path / "extra.csv",
+                           ["date,a,b", "2016-07-01,1,2", "2016-07-02,3,4,5"])
+        with pytest.raises(DataError, match="row 3 has 3 values, header has 2"):
+            D.load_csv(path, date_col=True)
+
+    @pytest.mark.parametrize("date", ['"2016-07-01, 00:00"', '"2016-07-01,9\n01:00"'])
+    def test_date_col_quoted_cells(self, tmp_path, date):
+        path = write_lines(tmp_path / "quoted.csv", ["date,a", f"{date},1", "x,2"])
+        ds = D.load_csv(path, date_col=True)
+        assert np.array_equal(ds.values, [[1], [2]])
+        assert ds.columns == ["a"]
+
+    def test_directory_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read"):
+            D.load_csv(str(tmp_path))
+
+    def test_undecodable_bytes_are_data_error(self, tmp_path):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"a,b\n1,2\n3,\xff\n")
+        with pytest.raises(DataError):
+            D.load_csv(str(path))
 
 
 class TestSplit:
@@ -116,23 +230,23 @@ class TestRegistry:
 class TestWindows:
     def test_exact_fit_single_window(self):
         seg = np.zeros((192, 2))
-        assert len(D.windows(seg, 96, 96)) == 1
+        assert len(windows(seg, 96, 96)) == 1
 
     def test_stride_one_count(self):
         seg = np.zeros((200, 2))
-        assert len(D.windows(seg, 96, 96)) == 9
+        assert len(windows(seg, 96, 96)) == 9
 
     def test_stride_eight_count(self):
         seg = np.zeros((200, 2))
-        assert len(D.windows(seg, 96, 96, stride=8)) == 2
+        assert len(windows(seg, 96, 96, stride=8)) == 2
 
     def test_too_short(self):
         with pytest.raises(DataError):
-            D.windows(np.zeros((100, 2)), 96, 96)
+            windows(np.zeros((100, 2)), 96, 96)
 
     def test_contents_and_order(self):
         seg = np.arange(20, dtype=float)[:, None]
-        ws = D.windows(seg, 4, 2)
+        ws = windows(seg, 4, 2)
         assert len(ws) == 15
         assert [w.start for w in ws] == list(range(15))
         assert np.array_equal(ws[3].lookback, [[3, 4, 5, 6]])
@@ -140,18 +254,44 @@ class TestWindows:
 
     def test_enumeration_duplicate_free(self):
         seg = np.random.default_rng(1).normal(size=(40, 1))
-        ws = D.windows(seg, 8, 4)
+        ws = windows(seg, 8, 4)
         starts = [w.start for w in ws]
         assert len(starts) == len(set(starts)) == 40 - 12 + 1
 
     def test_window_arrays_match_list(self):
         seg = np.random.default_rng(2).normal(size=(30, 3))
-        ws = D.windows(seg, 8, 4)
+        ws = windows(seg, 8, 4)
         arrs = D.window_arrays(seg, 8, 4)
         assert len(arrs) == len(ws)
         for i, w in enumerate(ws):
             assert np.array_equal(arrs.x[i], w.lookback)
             assert np.array_equal(arrs.y[i], w.target)
+
+    @pytest.mark.parametrize("stride", [1, 3, 8])
+    def test_window_arrays_match_oracle(self, stride):
+        seg = np.random.default_rng(stride).normal(size=(57, 3))
+        ws = windows(seg, 8, 4, stride=stride)
+        arrs = D.window_arrays(seg, 8, 4, stride=stride)
+        assert arrs.x.shape == (len(ws), 3, 8) and arrs.y.shape == (len(ws), 3, 4)
+        assert np.array_equal(arrs.x, np.stack([w.lookback for w in ws]))
+        assert np.array_equal(arrs.y, np.stack([w.target for w in ws]))
+        assert np.array_equal(arrs.x[:, :, 0], seg[[w.start for w in ws]])
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one_rejected(self, stride):
+        seg = np.arange(20, dtype=float)[:, None]
+        with pytest.raises(InputError, match="stride"):
+            D.window_arrays(seg, 4, 2, stride=stride)
+        ds = D.Dataset("t", np.arange(200, dtype=float)[:, None], split_ratio=(6, 2, 2))
+        with pytest.raises(InputError, match="stride"):
+            D.make_splits(ds, 16, 4, stride=stride)
+
+
+def _root(a):
+    """The array that owns the memory behind view ``a``."""
+    while getattr(a, "base", None) is not None:
+        a = a.base
+    return a
 
 
 class TestMakeSplits:
@@ -185,6 +325,35 @@ class TestMakeSplits:
         assert mean[0] == pytest.approx(values[:60].mean())
         assert std[0] == pytest.approx(values[:60].std())
         assert abs(scaled[:60].mean()) < 1e-12
+
+    def test_windows_are_read_only_views_of_one_series(self):
+        ds = D.Dataset("t", np.random.default_rng(5).normal(size=(300, 3)),
+                       split_ratio=(6, 2, 2))
+        for standardize in (True, False):
+            splits = D.make_splits(ds, 16, 4, standardize=standardize)
+            arrays = [a for part in (splits.train, splits.val, splits.test)
+                      for a in (part.x, part.y)]
+            series = _root(arrays[0])
+            if standardize:
+                assert np.array_equal(series, D.standardize_by_train(ds.values, 180)[0])
+            else:
+                assert series is ds.values
+            for a in arrays:
+                assert not a.flags.writeable
+                assert _root(a) is series and np.shares_memory(a, series)
+
+    def test_no_per_window_storage(self):
+        values = np.random.default_rng(6).normal(size=(2000, 4))
+        ds = D.Dataset("t", values, split_ratio=(7, 1, 2))
+        tracemalloc.start()
+        try:
+            splits = D.make_splits(ds, 16, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        windowed = sum(p.x.size + p.y.size for p in (splits.train, splits.val, splits.test))
+        assert windowed * 8 > 20 * values.nbytes  # what copies of the windows would cost
+        assert peak < 4 * values.nbytes
 
     def test_train_segment_too_short(self):
         ds = D.Dataset("t", np.zeros((30, 1)), split_ratio=(6, 2, 2))

@@ -4,6 +4,7 @@ import pytest
 from seedcast import embedding as E
 from seedcast import tensor as T
 from seedcast.errors import ConfigError
+from tests_helpers import strided_windows
 
 
 def make_params(patch_len, d_model, n_patches, rng=None, zero_bias=True):
@@ -38,6 +39,14 @@ class TestInstanceNormalize:
         x = rng.normal(size=(3, 50))
         out, stats = E.instance_normalize(x)
         assert np.abs(out * stats.std + stats.mean - x).max() < 1e-12
+
+    def test_strided_windows_match_copy(self):
+        view, copy = strided_windows(16, 8, 96, seed=4)
+        out_v, stats_v = E.instance_normalize(view)
+        out_c, stats_c = E.instance_normalize(copy)
+        assert np.array_equal(out_v, out_c)
+        assert np.array_equal(stats_v.mean, stats_c.mean)
+        assert np.array_equal(stats_v.std, stats_c.std)
 
 
 class TestPatching:

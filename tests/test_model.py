@@ -7,6 +7,7 @@ import pytest
 from seedcast import tensor as T
 from seedcast.errors import ConfigError, InputError
 from seedcast.model import VARIANTS, ModelConfig, SeedModel, apply_variant
+from tests_helpers import strided_windows
 
 MICRO = dict(lookback=8, horizon=4, patch_len=4, d_model=8,
              attn_heads=2, gcn_heads=2, n_layers=1, n_vars=2)
@@ -149,6 +150,28 @@ class TestEntropyOf:
             model.entropy_of(batch)
         with pytest.raises(InputError):
             model.entropy_of(batch[2])
+
+
+class TestWindowLayout:
+    """A strided window view, as make_splits hands out, forecasts like its copy."""
+
+    def test_forward_no_tape(self):
+        model = SeedModel(micro_config(seed=2))
+        view, copy = strided_windows(6, 2, 8, seed=16)
+        with T.no_grad():
+            assert np.array_equal(model.forward(view).data, model.forward(copy).data)
+            assert np.array_equal(model.forward(view[3]).data, model.forward(copy[3]).data)
+
+    def test_forward_taped(self):
+        model = SeedModel(micro_config(seed=2))
+        view, copy = strided_windows(6, 2, 8, seed=17)
+        assert np.array_equal(model.forward(view).data, model.forward(copy).data)
+
+    def test_entropy_of(self):
+        model = SeedModel(micro_config(seed=6))
+        view, copy = strided_windows(6, 2, 8, seed=18)
+        assert np.array_equal(model.entropy_of(view), model.entropy_of(copy))
+        assert np.array_equal(model.entropy_of(view[1]), model.entropy_of(copy[1]))
 
 
 def _default_model(variant="full", n_vars=8):

@@ -6,6 +6,7 @@ from seedcast import fft as F
 from seedcast import spectral as S
 from seedcast import tensor as T
 from seedcast.errors import DegenerateInputError, InputError, ShapeError
+from tests_helpers import strided_windows
 
 
 def acf_double_loop(x, max_lag):
@@ -137,6 +138,12 @@ class TestEvaluateDependencies:
         with_filter = S.evaluate_dependencies(w, S.ShapingFilter(48))
         without = S.evaluate_dependencies(w)
         assert np.allclose(with_filter.values, without.values, atol=1e-14)
+
+    def test_strided_window_matches_copy(self):
+        view, copy = strided_windows(12, 8, 96, seed=11)
+        for i in range(12):
+            assert np.array_equal(S.evaluate_dependencies(view[i]).values,
+                                  S.evaluate_dependencies(copy[i]).values)
 
 
 class TestAutocorrelation:

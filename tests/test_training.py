@@ -7,6 +7,7 @@ from seedcast import training as TR
 from seedcast.errors import ConfigError, DataError, ShapeError
 from seedcast.model import ModelConfig, SeedModel
 from seedcast.spectral import spectral_entropy
+from tests_helpers import strided_windows
 
 
 class TestLossPred:
@@ -55,6 +56,21 @@ class TestLossSpen:
         yhat = np.random.default_rng(5).normal(size=(1, 16))
         ref = (0.0 - spectral_entropy(yhat[0])) ** 2
         assert TR.loss_spen(y, T.Tensor(yhat)).item() == pytest.approx(ref, abs=1e-12)
+
+
+class TestWindowLayout:
+    """Targets as strided views, as make_splits hands them out, score like copies."""
+
+    def test_target_entropy(self):
+        view, copy = strided_windows(40, 8, 96, seed=14)
+        assert np.array_equal(TR.target_entropy(view, chunk=16),
+                              TR.target_entropy(copy, chunk=16))
+
+    def test_loss_spen_and_loss_pred(self):
+        view, copy = strided_windows(40, 8, 96, seed=15)
+        yhat = T.Tensor(np.random.default_rng(16).normal(size=copy.shape))
+        assert TR.loss_spen(view, yhat).item() == TR.loss_spen(copy, yhat).item()
+        assert TR.loss_pred(view, yhat).item() == TR.loss_pred(copy, yhat).item()
 
 
 class TestTotalLoss:
@@ -117,6 +133,35 @@ class TestEvaluate:
         assert report.mse == pytest.approx(np.mean([e**2 for e in errs]), abs=1e-10)
         assert report.mae == pytest.approx(np.mean([abs(e) for e in errs]), abs=1e-10)
         assert len(report.horizon_mse) == 3
+
+    def test_strided_split_matches_copy(self):
+        model = SeedModel(ModelConfig(lookback=24, horizon=8, patch_len=8, d_model=8,
+                                      attn_heads=2, gcn_heads=2, n_layers=1, n_vars=3,
+                                      seed=3))
+        view, copy = strided_windows(300, 3, 32, seed=12)  # more than one batch of 256
+        strided = TR.evaluate(model, TR.SplitWindows(view[..., :24], view[..., 24:]))
+        contiguous = TR.evaluate(model, TR.SplitWindows(copy[..., :24], copy[..., 24:]))
+        assert strided.mse == contiguous.mse and strided.mae == contiguous.mae
+        assert strided.horizon_mse == contiguous.horizon_mse
+        assert strided.horizon_mae == contiguous.horizon_mae
+
+    def test_persistence_strided_split_matches_copy(self):
+        view, copy = strided_windows(200, 4, 32, seed=14)
+        strided = TR.persistence_report(TR.SplitWindows(view[..., :24], view[..., 24:]))
+        contiguous = TR.persistence_report(TR.SplitWindows(copy[..., :24], copy[..., 24:]))
+        assert strided.to_dict() == contiguous.to_dict()
+
+    def test_one_forward_per_batch(self):
+        model = tiny_model(seed=3)
+        view, _ = strided_windows(300, 1, 32, seed=13)
+        split = TR.SplitWindows(view[..., :24], view[..., 24:])
+        sizes = []
+        forward = model.forward
+        model.forward = lambda x: sizes.append(len(x)) or forward(x)
+        report = TR.evaluate(model, split, batch=128)
+        assert sizes == [128, 128, 44]
+        model.forward = forward
+        assert report.mse == TR.evaluate(model, split, batch=300).mse
 
     def test_report_json_fields(self):
         report = TR.MetricsReport(1.0, 0.5, [1.0], [0.5], epochs=2, seconds=0.1)

@@ -1,4 +1,4 @@
-"""Shared parameter builders for attention/graph tests."""
+"""Shared parameter builders for attention/graph tests, and strided test windows."""
 
 import numpy as np
 
@@ -33,3 +33,15 @@ def spatial_params(d, h, rng, variant="tanh", knn_k=None, mode="local"):
         knn_k=knn_k,
         mode=mode,
     )
+
+
+def strided_windows(n_windows, n_vars, length, seed=0):
+    """Windows laid out as ``make_splits`` hands them out, and a contiguous copy.
+
+    The first is a read-only (n_windows, n_vars, length) sliding-window view of
+    one random-walk series; the second holds the same values C-contiguously.
+    """
+    series = np.random.default_rng(seed).normal(
+        size=(n_windows + length - 1, n_vars)).cumsum(axis=0)
+    view = np.lib.stride_tricks.sliding_window_view(series, length, axis=0)
+    return view, np.ascontiguousarray(view)
