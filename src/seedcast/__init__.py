@@ -26,7 +26,6 @@ from .spectral import (  # noqa: E402
     ShapingFilter,
     SyntheticSpec,
     acf_entropy_study,
-    apply_filter,
     autocorrelation,
     evaluate_dependencies,
     generate_synthetic,
@@ -52,7 +51,7 @@ __all__ = [
     "DegenerateInputError", "DivergenceError", "EntropyVector", "InputError",
     "MetricsReport", "ModelConfig", "NumericError", "RngState", "SeedModel",
     "ShapeError", "ShapingFilter", "SyntheticSpec", "Tensor", "TrainConfig",
-    "acf_entropy_study", "apply_filter", "apply_variant",
+    "acf_entropy_study", "apply_variant",
     "autocorrelation", "evaluate", "evaluate_dependencies",
     "fft_real", "generate_synthetic", "grad_check", "ifft_real", "load_csv",
     "loss_pred", "loss_spen", "make_splits", "no_grad", "spectral_entropy",

@@ -48,21 +48,34 @@ def parse_ratio(text: str) -> tuple[float, float, float]:
 
 def load_registry_file(path: str) -> dict[str, dict]:
     """Extra dataset entries from a JSON (or TOML, on 3.11+) config file."""
-    if path.endswith(".toml"):
+    toml = path.endswith(".toml")
+    if toml:
         try:
             import tomllib
         except ImportError:
             raise DataError("TOML registry files need Python 3.11+; use JSON") from None
+    try:
         with open(path, "rb") as fh:
-            raw = tomllib.load(fh)
-    else:
-        with open(path) as fh:
-            raw = json.load(fh)
+            raw = tomllib.load(fh) if toml else json.load(fh)
+    # ValueError: JSON or TOML syntax, or bytes that are not UTF-8.
+    except (OSError, ValueError) as exc:
+        raise DataError(f"{path}: unreadable registry file ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise DataError(f"{path}: a registry maps dataset names to tables")
     out = {}
     for name, entry in raw.items():
-        split = entry.get("split")
+        split = entry.get("split") if isinstance(entry, dict) else None
+        if isinstance(split, str):
+            try:
+                split = parse_ratio(split)
+            except InputError as exc:
+                raise DataError(f"{path}: dataset {name!r}: {exc}") from None
+        elif not (isinstance(split, list) and len(split) == 3
+                  and all(isinstance(r, (int, float)) for r in split)):
+            raise DataError(f'{path}: dataset {name!r} needs a table with split "a:b:c" '
+                            "or [a, b, c]")
         out[name] = {
-            "split": parse_ratio(split) if isinstance(split, str) else tuple(split),
+            "split": tuple(split),
             "date_col": bool(entry.get("date_col", False)),
             "dim": entry.get("dim"),
             "freq": entry.get("freq", ""),

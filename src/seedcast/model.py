@@ -3,8 +3,9 @@
 One encoder layer runs the per-variable temporal attention and the signed-
 graph spatial extractor side by side, blends them with entropy/similarity
 weights, then applies the usual residual + layer-norm + feed-forward block.
-Every ablation variant is a wiring change over the same parameter set, so a
-shared seed yields comparable runs.
+Every ablation variant is a wiring change over the same initialisation draws,
+so a shared seed yields comparable runs; a variant keeps only the parameters
+its wiring reads.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .embedding import (
     project_output,
 )
 from .errors import ConfigError, InputError
-from .fuser import blend, fusion_weights, patch_similarity
+from .fuser import blend, fuse, fusion_weights, patch_similarity
 from .graph import DistanceParams, GcnParams, SpatialParams, context_spatial_extract
 from .rng import RngState
 from .spectral import ShapingFilter, entropy_tensor
@@ -46,7 +47,7 @@ VARIANTS = (
     "re_c2",
 )
 
-_CKPT_VERSION = 2
+_CKPT_VERSION = 3
 _CKPT_META = "__meta__"  # 0-d str array: JSON {"version", "config"}; no parameter has this name
 
 # A no-tape forward runs its batch in blocks of windows whose largest intermediate
@@ -162,8 +163,8 @@ def apply_variant(config: ModelConfig) -> dict:
 
 @dataclass
 class LayerParams:
-    attn: AttentionParams
-    spatial: SpatialParams
+    attn: AttentionParams | None  # None without the temporal pathway
+    spatial: SpatialParams | None  # None without the spatial pathway
     ff_w1: T.Tensor
     ff_b1: T.Tensor
     ff_w2: T.Tensor
@@ -184,83 +185,96 @@ def layer_norm(x: T.Tensor, gamma: T.Tensor, beta: T.Tensor, eps: float = 1e-5) 
     return xc / T.sqrt(var + eps) * gamma + beta
 
 
+def _learned_scalar(t, e, ent, lp: LayerParams) -> T.Tensor:
+    w = T.sigmoid(lp.fuse_theta).reshape((lp.fuse_theta.size, 1))  # (C, 1) -> over patches
+    return blend(t, e, w)
+
+
+def _learned_map(t, e, ent, lp: LayerParams) -> T.Tensor:
+    w = T.sigmoid(T.matmul(T.concat([t, e], axis=-1), lp.fuse_w) + lp.fuse_b)  # (..., C, N, 1)
+    return blend(t, e, w.reshape(w.shape[:-1]))
+
+
+# Fusion mode -> fused features from (temporal, spatial, entropy, layer params).
+_FUSIONS = {
+    "temporal_only": lambda t, e, ent, lp: t,
+    "spatial_only": lambda t, e, ent, lp: e,
+    "entropy_sim": lambda t, e, ent, lp: fuse(t, e, ent),
+    "swapped": lambda t, e, ent, lp: blend(e, t, fusion_weights(ent, patch_similarity(t, e))),
+    "learned_scalar": _learned_scalar,
+    "learned_map": _learned_map,
+}
+_ENTROPY_FUSIONS = ("entropy_sim", "swapped")  # the modes that read the input's entropy
+
+
 class SeedModel:
     """Entropy-guided dual-path forecaster over patch tokens."""
 
     def __init__(self, config: ModelConfig):
         config.validate()
         self.config = config
-        self.wiring = apply_variant(config)
+        self.wiring = wiring = apply_variant(config)
         rng = RngState(config.seed)
         L, P, D = config.lookback, config.patch_len, config.d_model
         N, H = config.n_patches, config.gcn_heads
         d_h = D // H
+        self._params: dict[str, T.Tensor] = {}
 
-        def w(shape, scale):
-            return T.Tensor(rng.normal(shape, scale), requires_grad=True)
+        def param(name, init):
+            self._params[name] = t = T.Tensor(init, requires_grad=True)
+            return t
 
-        def zeros(shape):
-            return T.Tensor(np.zeros(shape), requires_grad=True)
-
-        # Detached entropy gives the filter no gradient, so it exists only when it trains.
-        self.filter = None if config.detach_entropy else ShapingFilter(L)
-        self.embed = EmbedParams(w((P, D), P**-0.5), zeros(D), positional_encoding(N, D))
+        # The filter trains only through an attached entropy that the fusion reads.
+        self.filter = None
+        if not config.detach_entropy and wiring["fusion"] in _ENTROPY_FUSIONS:
+            self.filter = ShapingFilter(L)
+            self._params.update({"filter.re": self.filter.w_re, "filter.im": self.filter.w_im})
+        self.embed = EmbedParams(param("embed.weight", rng.normal((P, D), P**-0.5)),
+                                 param("embed.bias", np.zeros(D)), positional_encoding(N, D))
         self.layers: list[LayerParams] = []
-        for _ in range(config.n_layers):
-            attn = AttentionParams(
-                wq=w((D, D), D**-0.5), wk=w((D, D), D**-0.5), wv=w((D, D), D**-0.5),
-                wo=w((D, D), D**-0.5), bq=zeros(D), bk=zeros(D), bv=zeros(D),
-                bo=zeros(D), heads=config.attn_heads,
-            )
-            q_shape = (H, d_h, d_h) if config.per_head_q else (d_h, d_h)
-            spatial = SpatialParams(
-                distance=DistanceParams(w(q_shape, 1.0 / d_h)),
-                gcn=GcnParams(w((H, d_h, d_h), d_h**-0.5), config.gcn_activation),
-                heads=H,
-                graph_variant=self.wiring["graph"],
-                knn_k=config.knn_k,
-                pool=config.pool,
-                mode=self.wiring["spatial_mode"],
-            )
-            n_vars = config.n_vars if config.n_vars is not None else 1
+        for i in range(config.n_layers):
+            # Every variant makes every draw, in this order, so a shared seed gives
+            # shared weights; a draw the wiring does not read is dropped.
+            attn_init = [rng.normal((D, D), D**-0.5) for _ in range(4)]  # wq, wk, wv, wo
+            q_init = rng.normal((H, d_h, d_h) if config.per_head_q else (d_h, d_h), 1.0 / d_h)
+            gcn_init = rng.normal((H, d_h, d_h), d_h**-0.5)
+            ff1_init = rng.normal((D, 2 * D), D**-0.5)
+            ff2_init = rng.normal((2 * D, D), (2 * D) ** -0.5)
+            fuse_w_init = rng.normal((2 * D, 1), (2 * D) ** -0.5)
+            pre, fusion = f"layer{i}.", wiring["fusion"]
+            attn = spatial = None
+            if wiring["temporal"]:
+                attn = AttentionParams(
+                    *(param(f"{pre}attn.w{k}", v) for k, v in zip("qkvo", attn_init)),
+                    *(param(f"{pre}attn.b{k}", np.zeros(D)) for k in "qkvo"),
+                    heads=config.attn_heads)
+            if wiring["spatial"]:
+                spatial = SpatialParams(
+                    distance=DistanceParams(param(pre + "dist.q", q_init)),
+                    gcn=GcnParams(param(pre + "gcn.weight", gcn_init), config.gcn_activation),
+                    heads=H, graph_variant=wiring["graph"], knn_k=config.knn_k,
+                    pool=config.pool, mode=wiring["spatial_mode"],
+                )
             self.layers.append(LayerParams(
                 attn=attn, spatial=spatial,
-                ff_w1=w((D, 2 * D), D**-0.5), ff_b1=zeros(2 * D),
-                ff_w2=w((2 * D, D), (2 * D) ** -0.5), ff_b2=zeros(D),
-                ln1_g=T.Tensor(np.ones(D), requires_grad=True), ln1_b=zeros(D),
-                ln2_g=T.Tensor(np.ones(D), requires_grad=True), ln2_b=zeros(D),
-                fuse_theta=zeros(n_vars),
-                fuse_w=w((2 * D, 1), (2 * D) ** -0.5), fuse_b=zeros(1),
+                ff_w1=param(pre + "ff.w1", ff1_init), ff_b1=param(pre + "ff.b1", np.zeros(2 * D)),
+                ff_w2=param(pre + "ff.w2", ff2_init), ff_b2=param(pre + "ff.b2", np.zeros(D)),
+                ln1_g=param(pre + "ln1.g", np.ones(D)), ln1_b=param(pre + "ln1.b", np.zeros(D)),
+                ln2_g=param(pre + "ln2.g", np.ones(D)), ln2_b=param(pre + "ln2.b", np.zeros(D)),
+                fuse_theta=(param(pre + "fuse.theta", np.zeros(config.n_vars))
+                            if fusion == "learned_scalar" else None),
+                fuse_w=param(pre + "fuse.w", fuse_w_init) if fusion == "learned_map" else None,
+                fuse_b=param(pre + "fuse.b", np.zeros(1)) if fusion == "learned_map" else None,
             ))
-        self.head = HeadParams(w((N * D, config.horizon), (N * D) ** -0.5),
-                               zeros(config.horizon))
+        self.head = HeadParams(
+            param("head.weight", rng.normal((N * D, config.horizon), (N * D) ** -0.5)),
+            param("head.bias", np.zeros(config.horizon)))
 
     # -- parameter registry ---------------------------------------------------
 
     def named_params(self) -> dict[str, T.Tensor]:
-        reg: dict[str, T.Tensor] = {}
-        if self.filter is not None:
-            reg.update({"filter.re": self.filter.w_re, "filter.im": self.filter.w_im})
-        reg.update({"embed.weight": self.embed.weight, "embed.bias": self.embed.bias})
-        for i, lp in enumerate(self.layers):
-            pre = f"layer{i}."
-            a = lp.attn
-            reg.update({
-                pre + "attn.wq": a.wq, pre + "attn.wk": a.wk, pre + "attn.wv": a.wv,
-                pre + "attn.wo": a.wo, pre + "attn.bq": a.bq, pre + "attn.bk": a.bk,
-                pre + "attn.bv": a.bv, pre + "attn.bo": a.bo,
-                pre + "dist.q": lp.spatial.distance.q,
-                pre + "gcn.weight": lp.spatial.gcn.weight,
-                pre + "ff.w1": lp.ff_w1, pre + "ff.b1": lp.ff_b1,
-                pre + "ff.w2": lp.ff_w2, pre + "ff.b2": lp.ff_b2,
-                pre + "ln1.g": lp.ln1_g, pre + "ln1.b": lp.ln1_b,
-                pre + "ln2.g": lp.ln2_g, pre + "ln2.b": lp.ln2_b,
-                pre + "fuse.theta": lp.fuse_theta,
-                pre + "fuse.w": lp.fuse_w, pre + "fuse.b": lp.fuse_b,
-            })
-        reg["head.weight"] = self.head.weight
-        reg["head.bias"] = self.head.bias
-        return reg
+        """Every learnable tensor the variant's wiring reads, in creation order."""
+        return dict(self._params)
 
     def params(self) -> list[T.Tensor]:
         return list(self.named_params().values())
@@ -348,8 +362,8 @@ class SeedModel:
             xn, stats = instance_normalize(x)
         else:
             xn, stats = x, None
-        # Detached entropy is a constant of the step: build no tape for it.
-        with T.no_grad() if cfg.detach_entropy else contextlib.nullcontext():
+        # Without a filter the entropy is a constant of the step: build no tape for it.
+        with T.no_grad() if self.filter is None else contextlib.nullcontext():
             ent = entropy_tensor(T.Tensor(xn), self.filter, degenerate="zero")  # (B, C)
         tokens = patch_and_embed(xn, self.embed).values  # (B, C, N, D)
         for lp in self.layers:
@@ -365,30 +379,12 @@ class SeedModel:
         return ent[0] if single else ent
 
     def _encoder_layer(self, x, ent, lp: LayerParams, force_w):
-        wiring = self.wiring
-        t_feat = temporal_attention(x, lp.attn) if wiring["temporal"] else None
-        e_feat = context_spatial_extract(x, lp.spatial) if wiring["spatial"] else None
-
-        mode = wiring["fusion"]
-        if force_w is not None:
-            f = blend(t_feat, e_feat, T.Tensor(np.full(x.shape[:-1], force_w)))
-        elif mode == "temporal_only":
-            f = t_feat
-        elif mode == "spatial_only":
-            f = e_feat
-        elif mode == "entropy_sim":
-            f = blend(t_feat, e_feat, fusion_weights(ent, patch_similarity(t_feat, e_feat)))
-        elif mode == "swapped":
-            f = blend(e_feat, t_feat, fusion_weights(ent, patch_similarity(t_feat, e_feat)))
-        elif mode == "learned_scalar":
-            w = T.sigmoid(lp.fuse_theta).reshape((lp.fuse_theta.size, 1))  # (C, 1) -> over patches
-            f = blend(t_feat, e_feat, w)
-        elif mode == "learned_map":
-            feats = T.concat([t_feat, e_feat], axis=-1)  # (..., C, N, 2D)
-            w = T.sigmoid(T.matmul(feats, lp.fuse_w) + lp.fuse_b)
-            f = blend(t_feat, e_feat, w.reshape(w.shape[:-1]))
+        t_feat = temporal_attention(x, lp.attn) if lp.attn is not None else None
+        e_feat = context_spatial_extract(x, lp.spatial) if lp.spatial is not None else None
+        if force_w is None:
+            f = _FUSIONS[self.wiring["fusion"]](t_feat, e_feat, ent, lp)
         else:
-            raise ConfigError(f"unhandled fusion mode {mode!r}")
+            f = blend(t_feat, e_feat, T.Tensor(np.full(x.shape[:-1], force_w)))
 
         h = layer_norm(x + f, lp.ln1_g, lp.ln1_b)
         ff = T.matmul(T.silu(T.matmul(h, lp.ff_w1) + lp.ff_b1), lp.ff_w2) + lp.ff_b2

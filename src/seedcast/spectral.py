@@ -89,18 +89,6 @@ def complex_filter_mul(zr, zi, filt: ShapingFilter):
     return sr, si
 
 
-def apply_filter(spectrum: _fft.ComplexSpectrum, filt: ShapingFilter) -> _fft.ComplexSpectrum:
-    if len(spectrum) != len(filt):
-        raise ShapeError(
-            f"spectrum length {len(spectrum)} != filter length {len(filt)}"
-        )
-    hr, hi = filt.w_re.data, filt.w_im.data
-    return _fft.ComplexSpectrum(
-        spectrum.re * hr - spectrum.im * hi,
-        spectrum.re * hi + spectrum.im * hr,
-    )
-
-
 # -- spectral entropy ----------------------------------------------------------
 
 

@@ -93,6 +93,26 @@ class TestTrain:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
 
+    BAD_REGISTRIES = {
+        "truncated.json": '{"x": ',
+        "scalar_entry.json": '{"x": 5}',
+        "list.json": "[1]",
+        "null_split.json": '{"x": {"split": null}}',
+        "bad.toml": "[x\nsplit = ",
+        "missing.json": None,
+    }
+
+    @pytest.mark.parametrize("name", list(BAD_REGISTRIES))
+    def test_bad_registry_fails_cleanly(self, tiny_csv, tmp_path, capsys, name):
+        registry, text = tmp_path / name, self.BAD_REGISTRIES[name]
+        if text is not None:
+            registry.write_text(text)
+        code = run(["train", "--data", tiny_csv, "--split", "6:2:2", "--registry",
+                    str(registry), "--out", str(tmp_path / "x")] + TINY)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and str(registry) in err and "Traceback" not in err
+
 
 class TestEval:
     def test_eval_reproduces_train_test_metrics(self, tiny_csv, tmp_path):

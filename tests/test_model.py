@@ -286,25 +286,63 @@ class TestCountParams:
         big = SeedModel(micro_config(seed=0, d_model=16)).count_params()
         assert big > 2 * small
 
-    def test_closed_form_oracle(self):
-        cfg = micro_config()
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_closed_form_oracle(self, variant):
+        cfg = micro_config(variant=variant)
         model = SeedModel(cfg)
+        wiring = apply_variant(cfg)
         L, P, D, T_ = cfg.lookback, cfg.patch_len, cfg.d_model, cfg.horizon
         N, H, C = cfg.n_patches, cfg.gcn_heads, cfg.n_vars
         d_h = D // H
-        per_layer = (4 * D * D + 4 * D      # attention
-                     + d_h * d_h            # shared distance form
-                     + H * d_h * d_h        # gcn head transforms
-                     + D * 2 * D + 2 * D + 2 * D * D + D  # feed-forward
-                     + 4 * D                # two layer norms
-                     + C + 2 * D + 1)       # fusion extras (re_f1 / re_f3)
+        per_layer = (D * 2 * D + 2 * D + 2 * D * D + D  # feed-forward
+                     + 4 * D)                           # two layer norms
+        if wiring["temporal"]:
+            per_layer += 4 * D * D + 4 * D              # attention
+        if wiring["spatial"]:
+            per_layer += (d_h * d_h                     # shared distance form
+                          + H * d_h * d_h)              # gcn head transforms
+        per_layer += {"learned_scalar": C,              # re_f1: one scalar per variable
+                      "learned_map": 2 * D + 1}.get(wiring["fusion"], 0)  # re_f3
         expected = (P * D + D               # embedding
                     + cfg.n_layers * per_layer
                     + N * D * T_ + T_)      # head
         assert model.count_params() == expected
-        # The 2L shaping-filter weights exist only where they train.
-        trained = SeedModel(micro_config(detach_entropy=False))
-        assert trained.count_params() == expected + 2 * L
+        # The 2L shaping-filter weights exist only where they train: with an
+        # attached entropy that the fusion reads.
+        trained = SeedModel(micro_config(variant=variant, detach_entropy=False))
+        reads_entropy = wiring["fusion"] in ("entropy_sim", "swapped")
+        assert trained.count_params() == expected + 2 * L * reads_entropy
+
+
+class TestParameterWiring:
+    @pytest.mark.parametrize("detach", [True, False])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_parameter_gets_gradient(self, variant, detach):
+        from seedcast.training import total_loss
+
+        model = SeedModel(micro_config(variant=variant, detach_entropy=detach, seed=1))
+        rng = np.random.default_rng(26)
+        total_loss(rng.normal(size=(3, 2, 4)), model.forward(rng.normal(size=(3, 2, 8))),
+                   0.1).backward()
+        for name, p in model.named_params().items():
+            assert p.grad is not None, name
+            # The entropy reads the filtered power |H|^2 |Z|^2, whose derivative in
+            # Im H is 2 Im H |Z|^2: zero at the identity filter Im H = 0.
+            if name != "filter.im":
+                assert np.any(p.grad != 0), name
+
+    def test_shared_seed_shares_every_draw(self):
+        def params(variant):
+            cfg = micro_config(variant=variant, seed=27, n_layers=2, detach_entropy=False)
+            return {k: p.data for k, p in SeedModel(cfg).named_params().items()}
+
+        full = params("full")
+        fusion = {f"layer{i}.fuse.{k}" for i in range(2) for k in ("theta", "w", "b")}
+        for variant in VARIANTS:
+            kept = params(variant)
+            assert kept.keys() - full.keys() <= fusion, variant
+            for name in kept.keys() & full.keys():
+                assert kept[name].tobytes() == full[name].tobytes(), (variant, name)
 
 
 def _saved(tmp_path, **kw):
@@ -372,7 +410,7 @@ class TestCheckpoint:
             with pytest.raises(ConfigError):
                 SeedModel.load(path)
 
-    @pytest.mark.parametrize("version", [1, 3])
+    @pytest.mark.parametrize("version", [1, 2, 4])
     def test_version_mismatch(self, tmp_path, version):
         model, path = _saved(tmp_path)
         with np.load(path, allow_pickle=False) as ckpt:
