@@ -18,16 +18,13 @@ from .errors import (  # noqa: E402
     NumericError,
     ShapeError,
 )
-from .fft import ComplexSpectrum, fft_real, ifft_real  # noqa: E402
 from .tensor import Tensor, grad_check, no_grad  # noqa: E402
 from .rng import RngState  # noqa: E402
 from .spectral import (  # noqa: E402
-    EntropyVector,
     ShapingFilter,
     SyntheticSpec,
     acf_entropy_study,
     autocorrelation,
-    evaluate_dependencies,
     generate_synthetic,
     spectral_entropy,
 )
@@ -47,13 +44,12 @@ from .data import Dataset, load_csv, make_splits, split  # noqa: E402
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adam", "ComplexSpectrum", "ConfigError", "DataError", "Dataset",
-    "DegenerateInputError", "DivergenceError", "EntropyVector", "InputError",
+    "Adam", "ConfigError", "DataError", "Dataset",
+    "DegenerateInputError", "DivergenceError", "InputError",
     "MetricsReport", "ModelConfig", "NumericError", "RngState", "SeedModel",
     "ShapeError", "ShapingFilter", "SyntheticSpec", "Tensor", "TrainConfig",
-    "acf_entropy_study", "apply_variant",
-    "autocorrelation", "evaluate", "evaluate_dependencies",
-    "fft_real", "generate_synthetic", "grad_check", "ifft_real", "load_csv",
+    "acf_entropy_study", "apply_variant", "autocorrelation", "evaluate",
+    "generate_synthetic", "grad_check", "load_csv",
     "loss_pred", "loss_spen", "make_splits", "no_grad", "spectral_entropy",
     "split", "total_loss", "train",
 ]

@@ -94,9 +94,7 @@ class HeadParams:
     bias: T.Tensor    # (T,)
 
 
-def project_output(
-    tokens: T.Tensor, params: HeadParams, stats: NormStats | None = None
-) -> T.Tensor:
+def project_output(tokens: T.Tensor, params: HeadParams, stats: NormStats) -> T.Tensor:
     """Flatten each variable's patch tokens, map to the horizon, undo the z-score."""
     n, d = tokens.shape[-2], tokens.shape[-1]
     if n * d != params.weight.shape[0]:
@@ -105,6 +103,4 @@ def project_output(
         )
     flat = tokens.reshape(tokens.shape[:-2] + (n * d,))
     out = T.matmul(flat, params.weight) + params.bias
-    if stats is not None:
-        out = out * T.Tensor(stats.std) + T.Tensor(stats.mean)
-    return out
+    return out * T.Tensor(stats.std) + T.Tensor(stats.mean)

@@ -7,8 +7,6 @@ batch dimensions. The public surface stays (re, im) float64 pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError
@@ -44,47 +42,3 @@ def ifft_complex(re: np.ndarray, im: np.ndarray):
 def fft_real_raw(x: np.ndarray):
     """DFT of a real array along the last axis, as (re, im) float64 arrays."""
     return _transform(np.asarray(x, dtype=np.float64))
-
-
-@dataclass
-class ComplexSpectrum:
-    """DFT of a series: per-bin real and imaginary parts, full L bins."""
-
-    re: np.ndarray
-    im: np.ndarray
-
-    def __post_init__(self):
-        self.re = np.asarray(self.re, dtype=np.float64)
-        self.im = np.asarray(self.im, dtype=np.float64)
-        if self.re.shape != self.im.shape:
-            raise InputError(
-                f"spectrum re/im shapes differ: {self.re.shape} vs {self.im.shape}"
-            )
-
-    def __len__(self) -> int:
-        return self.re.shape[-1]
-
-    def power(self) -> np.ndarray:
-        return self.re * self.re + self.im * self.im
-
-    def max_conjugate_asymmetry(self) -> float:
-        """Max |X_k - conj(X_{L-k})| over k=1..L-1; ~0 for real inputs."""
-        rr = self.re[..., 1:]
-        ri = self.im[..., 1:]
-        dr = rr - rr[..., ::-1]
-        di = ri + ri[..., ::-1]
-        return float(np.max(np.hypot(dr, di))) if rr.size else 0.0
-
-
-def fft_real(x: np.ndarray) -> ComplexSpectrum:
-    """DFT of a real series (last axis); requires length >= 2."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] < 2:
-        raise InputError(f"fft_real needs length >= 2, got {x.shape[-1]}")
-    return ComplexSpectrum(*fft_real_raw(x))
-
-
-def ifft_real(spectrum: ComplexSpectrum) -> np.ndarray:
-    """Inverse transform, returning the real part (exact for conjugate-symmetric spectra)."""
-    re, _ = ifft_complex(spectrum.re, spectrum.im)
-    return re

@@ -18,17 +18,11 @@ from . import tensor as T
 from .attention import merge_heads, split_heads
 from .errors import ConfigError, ShapeError
 
-VARIANT_SOFTMAX_SIGNED = "softmax-signed"
-VARIANT_TANH_SIGNED = "tanh-signed"
-VARIANT_SOFTMAX_PLAIN = "softmax-plain"
-
-
 @dataclass
 class SignedGraph:
     """Per-head signed adjacency (..., H, n, n); masked entries are exactly zero."""
 
     weights: T.Tensor
-    variant: str
     mask: np.ndarray | None = None  # bool retention mask once KNN-sparsified
 
 
@@ -36,7 +30,7 @@ class SignedGraph:
 class DistanceParams:
     """Learnable bilinear form over head-split features, shared across heads."""
 
-    q: T.Tensor  # (d_h, d_h), or (H, d_h, d_h) when per-head
+    q: T.Tensor  # (d_h, d_h)
 
     def params(self) -> list[T.Tensor]:
         return [self.q]
@@ -87,7 +81,7 @@ def sign_softmax_graph(scores: T.Tensor) -> SignedGraph:
     sign = np.where(scores.data >= 0.0, 1.0, -1.0)
     mag = scores * T.Tensor(sign)
     weights = T.softmax(mag, axis=-1) * T.Tensor(sign)
-    return SignedGraph(weights, VARIANT_SOFTMAX_SIGNED)
+    return SignedGraph(weights)
 
 
 def tanh_l1_graph(scores: T.Tensor) -> SignedGraph:
@@ -96,12 +90,12 @@ def tanh_l1_graph(scores: T.Tensor) -> SignedGraph:
     denom = T.absolute(th).sum(axis=-1, keepdims=True)
     guard = (denom.data == 0.0).astype(np.float64)
     weights = th / (denom + T.Tensor(guard))
-    return SignedGraph(weights, VARIANT_TANH_SIGNED)
+    return SignedGraph(weights)
 
 
 def plain_softmax_graph(scores: T.Tensor) -> SignedGraph:
     """Ordinary softmax on raw scores: nonnegative weights, signs erased."""
-    return SignedGraph(T.softmax(scores, axis=-1), VARIANT_SOFTMAX_PLAIN)
+    return SignedGraph(T.softmax(scores, axis=-1))
 
 
 GRAPH_BUILDERS = {
@@ -132,36 +126,26 @@ def knn_sparsify(graph: SignedGraph, k: int) -> SignedGraph:
     room = k - above.sum(axis=-1, keepdims=True)
     mask = above | (tie & (np.cumsum(tie, axis=-1, dtype=np.int32) <= room))
     weights = graph.weights * T.Tensor(mask.astype(np.float64))
-    return SignedGraph(weights, graph.variant, mask)
+    return SignedGraph(weights, mask)
 
 
 @dataclass
 class GcnParams:
     weight: T.Tensor  # (H, d_h, d_h) per-head transforms
-    activation: str = "silu"
 
     def params(self) -> list[T.Tensor]:
         return [self.weight]
 
 
-_ACTIVATIONS = {
-    "silu": T.silu,
-    "relu": T.relu,
-    "tanh": T.tanh,
-    "identity": lambda x: x,
-}
-
-
 def gcn(window: T.Tensor, graph: SignedGraph, params: GcnParams) -> T.Tensor:
-    """One signed graph convolution with residual: x + act(G @ x_h @ W_h) per head."""
+    """One signed graph convolution with residual: x + silu(G @ x_h @ W_h) per head."""
     d = window.shape[-1]
     heads = graph.weights.shape[-3]
     if d % heads != 0:
         raise ConfigError(f"gcn heads ({heads}) must divide feature width ({d})")
-    act = _ACTIVATIONS[params.activation]
     xh = split_heads(window, heads)  # (..., H, n, d_h)
     agg = T.matmul(graph.weights, xh)
-    out = merge_heads(act(T.matmul(agg, params.weight)))
+    out = merge_heads(T.silu(T.matmul(agg, params.weight)))
     return window + out
 
 

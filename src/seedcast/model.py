@@ -47,7 +47,7 @@ VARIANTS = (
     "re_c2",
 )
 
-_CKPT_VERSION = 3
+_CKPT_VERSION = 4
 _CKPT_META = "__meta__"  # 0-d str array: JSON {"version", "config"}; no parameter has this name
 
 # A no-tape forward runs its batch in blocks of windows whose largest intermediate
@@ -68,13 +68,10 @@ class ModelConfig:
     pool: str = "mean"  # mean | max
     lam: float = 0.1  # weight of the entropy-matching loss term
     n_layers: int = 2
-    revin: bool = True
     detach_entropy: bool = True
     variant: str = "full"
     seed: int = 0
     n_vars: int | None = None  # needed for shape validation and re_f1 sizing
-    gcn_activation: str = "silu"
-    per_head_q: bool = False
 
     def __post_init__(self):
         self.validate()
@@ -228,7 +225,7 @@ class SeedModel:
         self.filter = None
         if not config.detach_entropy and wiring["fusion"] in _ENTROPY_FUSIONS:
             self.filter = ShapingFilter(L)
-            self._params.update({"filter.re": self.filter.w_re, "filter.im": self.filter.w_im})
+            self._params["filter.gain"] = self.filter.gain
         self.embed = EmbedParams(param("embed.weight", rng.normal((P, D), P**-0.5)),
                                  param("embed.bias", np.zeros(D)), positional_encoding(N, D))
         self.layers: list[LayerParams] = []
@@ -236,7 +233,7 @@ class SeedModel:
             # Every variant makes every draw, in this order, so a shared seed gives
             # shared weights; a draw the wiring does not read is dropped.
             attn_init = [rng.normal((D, D), D**-0.5) for _ in range(4)]  # wq, wk, wv, wo
-            q_init = rng.normal((H, d_h, d_h) if config.per_head_q else (d_h, d_h), 1.0 / d_h)
+            q_init = rng.normal((d_h, d_h), 1.0 / d_h)
             gcn_init = rng.normal((H, d_h, d_h), d_h**-0.5)
             ff1_init = rng.normal((D, 2 * D), D**-0.5)
             ff2_init = rng.normal((2 * D, D), (2 * D) ** -0.5)
@@ -251,7 +248,7 @@ class SeedModel:
             if wiring["spatial"]:
                 spatial = SpatialParams(
                     distance=DistanceParams(param(pre + "dist.q", q_init)),
-                    gcn=GcnParams(param(pre + "gcn.weight", gcn_init), config.gcn_activation),
+                    gcn=GcnParams(param(pre + "gcn.weight", gcn_init)),
                     heads=H, graph_variant=wiring["graph"], knn_k=config.knn_k,
                     pool=config.pool, mode=wiring["spatial_mode"],
                 )
@@ -357,14 +354,12 @@ class SeedModel:
 
     def _forward_block(self, x: np.ndarray, force_fusion_weight) -> T.Tensor:
         """The whole pipeline on a checked (B, C, L) batch: (B, C, T)."""
-        cfg = self.config
-        if cfg.revin:
-            xn, stats = instance_normalize(x)
-        else:
-            xn, stats = x, None
-        # Without a filter the entropy is a constant of the step: build no tape for it.
-        with T.no_grad() if self.filter is None else contextlib.nullcontext():
-            ent = entropy_tensor(T.Tensor(xn), self.filter, degenerate="zero")  # (B, C)
+        xn, stats = instance_normalize(x)
+        ent = None  # read only by the fusions in _ENTROPY_FUSIONS
+        if self.wiring["fusion"] in _ENTROPY_FUSIONS:
+            # Without a filter the entropy is a constant of the step: build no tape for it.
+            with T.no_grad() if self.filter is None else contextlib.nullcontext():
+                ent = entropy_tensor(T.Tensor(xn), self.filter, degenerate="zero")  # (B, C)
         tokens = patch_and_embed(xn, self.embed).values  # (B, C, N, D)
         for lp in self.layers:
             tokens = self._encoder_layer(tokens, ent, lp, force_fusion_weight)
@@ -373,7 +368,7 @@ class SeedModel:
     def entropy_of(self, window) -> np.ndarray:
         """Per-variable entropy exactly as the forward pass sees it: (C,) or (B, C)."""
         x, single = self._as_batch(window)
-        xn = instance_normalize(x)[0] if self.config.revin else x
+        xn = instance_normalize(x)[0]
         with T.no_grad():
             ent = entropy_tensor(T.Tensor(xn), self.filter, degenerate="zero").data
         return ent[0] if single else ent

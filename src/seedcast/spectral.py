@@ -22,40 +22,23 @@ _ZERO_POWER = 1e-290
 
 
 class ShapingFilter:
-    """Learnable per-frequency complex multiplier, applied before the PSD.
+    """Learnable real per-frequency gain, applied to the spectrum before the PSD.
 
-    Initialized to 1+0i (a no-op) so training starts from the unfiltered
-    spectrum and shapes the response from there.
+    Initialized to 1 (a no-op) so training starts from the unfiltered
+    spectrum. The entropy reads only the filtered power gain^2 * |Z|^2, so a
+    real gain reaches every power response a complex one would.
     """
 
     def __init__(self, length: int):
         if length < 2:
             raise InputError(f"filter length must be >= 2, got {length}")
-        self.w_re = T.Tensor(np.ones(length), requires_grad=True)
-        self.w_im = T.Tensor(np.zeros(length), requires_grad=True)
+        self.gain = T.Tensor(np.ones(length), requires_grad=True)
 
     def __len__(self) -> int:
-        return self.w_re.size
+        return self.gain.size
 
     def params(self) -> list[T.Tensor]:
-        return [self.w_re, self.w_im]
-
-
-@dataclass
-class EntropyVector:
-    """Per-variable normalized spectral entropy, each entry in [0, 1]."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1:
-            raise ShapeError(f"entropy vector must be 1-D, got shape {self.values.shape}")
-        if np.any(self.values < -1e-12) or np.any(self.values > 1.0 + 1e-12):
-            raise InputError("entropy values outside [0, 1]")
-
-    def __len__(self) -> int:
-        return len(self.values)
+        return [self.gain]
 
 
 @dataclass
@@ -76,17 +59,6 @@ class SyntheticSpec:
             raise InputError(
                 f"length must be >= 2*period ({2 * self.period}), got {self.length}"
             )
-
-
-# -- filtering ---------------------------------------------------------------
-
-
-def complex_filter_mul(zr, zi, filt: ShapingFilter):
-    """Per-bin complex product of a spectrum (tensor pair) with the filter."""
-    hr, hi = filt.w_re, filt.w_im
-    sr = zr * hr - zi * hi
-    si = zr * hi + zi * hr
-    return sr, si
 
 
 # -- spectral entropy ----------------------------------------------------------
@@ -112,7 +84,7 @@ def entropy_tensor(
         x = x - x.mean(axis=-1, keepdims=True)
     re, im = T.dft_real(x)
     if filt is not None:
-        re, im = complex_filter_mul(re, im, filt)
+        re, im = re * filt.gain, im * filt.gain
     power = re * re + im * im
     total = power.sum(axis=-1, keepdims=True)
     dead = total.data < _ZERO_POWER
@@ -138,16 +110,6 @@ def spectral_entropy(
         raise ShapeError(f"expected a 1-D series, got shape {x.shape}")
     with T.no_grad():
         return float(entropy_tensor(T.Tensor(x), filt, remove_mean).data)
-
-
-def evaluate_dependencies(window, filt: ShapingFilter | None = None) -> EntropyVector:
-    """Per-variable spectral entropy of a C x L window."""
-    window = np.ascontiguousarray(window, dtype=np.float64)
-    if window.ndim != 2:
-        raise ShapeError(f"expected a C x L window, got shape {window.shape}")
-    with T.no_grad():
-        vals = entropy_tensor(T.Tensor(window), filt).data
-    return EntropyVector(vals)
 
 
 # -- autocorrelation -------------------------------------------------------------

@@ -313,12 +313,6 @@ def silu(a) -> Tensor:
     return _node(a.data * s, (a,), lambda g: (g * s * (1.0 + a.data * (1.0 - s)),))
 
 
-def relu(a) -> Tensor:
-    a = _ensure(a)
-    mask = (a.data > 0).astype(np.float64)
-    return _node(a.data * mask, (a,), lambda g: (g * mask,))
-
-
 def absolute(a) -> Tensor:
     a = _ensure(a)
     return _node(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))

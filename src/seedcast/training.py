@@ -29,6 +29,8 @@ def loss_pred(y, yhat: T.Tensor) -> T.Tensor:
 def target_entropy(y: np.ndarray, chunk: int = 512) -> np.ndarray:
     """Per-variable spectral entropy of fixed targets (no gradient, chunked)."""
     y = np.asarray(y, dtype=np.float64)
+    if y.ndim == 1:  # one series: give it the leading axis the chunks run over
+        return target_entropy(y[None], chunk)[0]
     out = np.empty(y.shape[:-1])
     with T.no_grad():
         for i in range(0, y.shape[0], chunk):
@@ -36,11 +38,6 @@ def target_entropy(y: np.ndarray, chunk: int = 512) -> np.ndarray:
                 T.Tensor(np.ascontiguousarray(y[i : i + chunk])), degenerate="zero"
             ).data
     return out
-
-
-def _entropy_gap(yhat: T.Tensor, ent_y: np.ndarray) -> T.Tensor:
-    diff = entropy_tensor(yhat, degenerate="zero") - T.Tensor(ent_y)
-    return (diff * diff).mean()
 
 
 def loss_spen(y, yhat: T.Tensor) -> T.Tensor:
@@ -52,9 +49,8 @@ def loss_spen(y, yhat: T.Tensor) -> T.Tensor:
     y = np.ascontiguousarray(y, dtype=np.float64)
     if y.shape != yhat.shape:
         raise ShapeError(f"target shape {y.shape} != forecast shape {yhat.shape}")
-    with T.no_grad():
-        ent_y = entropy_tensor(T.Tensor(y), degenerate="zero").data
-    return _entropy_gap(yhat, ent_y)
+    diff = entropy_tensor(yhat, degenerate="zero") - T.Tensor(target_entropy(y))
+    return (diff * diff).mean()
 
 
 def total_loss(y, yhat: T.Tensor, lam: float) -> T.Tensor:
@@ -225,7 +221,6 @@ def train(model: SeedModel, splits: DatasetSplits, cfg: TrainConfig,
     rng = RngState(cfg.seed)
     opt = Adam(model.params(), cfg.learning_rate)
     t0 = time.perf_counter()
-    ent_y = target_entropy(splits.train.y) if lam > 0 else None
     best_val = np.inf
     best_state = model.state_arrays()
     bad_epochs = 0
@@ -234,10 +229,7 @@ def train(model: SeedModel, splits: DatasetSplits, cfg: TrainConfig,
         order = rng.permutation(len(splits.train))
         for step, lo in enumerate(range(0, len(order), cfg.batch_size)):
             idx = order[lo : lo + cfg.batch_size]
-            yhat = model.forward(splits.train.x[idx])
-            loss = loss_pred(splits.train.y[idx], yhat)
-            if lam > 0:
-                loss = loss + lam * _entropy_gap(yhat, ent_y[idx])
+            loss = total_loss(splits.train.y[idx], model.forward(splits.train.x[idx]), lam)
             if not np.isfinite(loss.data):
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, step {step}"

@@ -100,9 +100,9 @@ class TestProjection:
         tokens = rng.normal(size=(2, 3, 4))
         head = E.HeadParams(T.Tensor(rng.normal(size=(12, 5))), T.Tensor(rng.normal(size=5)))
         ident = E.NormStats(np.zeros((2, 1)), np.ones((2, 1)))
-        with_stats = E.project_output(T.Tensor(tokens), head, ident)
-        without = E.project_output(T.Tensor(tokens), head, None)
-        assert np.array_equal(with_stats.data, without.data)
+        out = E.project_output(T.Tensor(tokens), head, ident)
+        raw = tokens.reshape(2, 12) @ head.weight.data + head.bias.data
+        assert np.abs(out.data - raw).max() < 1e-12
 
     def test_affine_round_trip_oracle(self):
         # One variable, one patch, trivial sizes: hand-computable end to end.
@@ -121,7 +121,8 @@ class TestProjection:
         x = rng.normal(size=(2, 2, 4))
         y = rng.normal(size=(2, 2, 4))
         a, b = 0.7, -1.3
-        fx = E.project_output(T.Tensor(x), head).data
-        fy = E.project_output(T.Tensor(y), head).data
-        fxy = E.project_output(T.Tensor(a * x + b * y), head).data
+        ident = E.NormStats(np.zeros((2, 1)), np.ones((2, 1)))
+        fx = E.project_output(T.Tensor(x), head, ident).data
+        fy = E.project_output(T.Tensor(y), head, ident).data
+        fxy = E.project_output(T.Tensor(a * x + b * y), head, ident).data
         assert np.abs(fxy - (a * fx + b * fy)).max() < 1e-10

@@ -12,45 +12,34 @@ def naive_dft(x):
     return np.exp(-2j * np.pi * np.outer(k, k) / L) @ np.asarray(x, dtype=complex)
 
 
+def power(x):
+    re, im = F.fft_real_raw(x)
+    return re * re + im * im
+
+
 class TestFftReal:
     def test_constant_series_is_dc_only(self):
-        sp = F.fft_real(np.full(16, 3.7))
-        power = sp.power()
-        assert power[0] == pytest.approx((3.7 * 16) ** 2)
-        assert np.all(power[1:] < 1e-20)
+        p = power(np.full(16, 3.7))
+        assert p[0] == pytest.approx((3.7 * 16) ** 2)
+        assert np.all(p[1:] < 1e-20)
 
     def test_single_tone_hits_two_bins(self):
         L, k = 32, 5
-        sp = F.fft_real(np.cos(2 * np.pi * k * np.arange(L) / L))
-        power = sp.power()
+        p = power(np.cos(2 * np.pi * k * np.arange(L) / L))
         hot = {k, L - k}
         for i in range(L):
             if i in hot:
-                assert power[i] > 1.0
+                assert p[i] > 1.0
             else:
-                assert power[i] < 1e-18
+                assert p[i] < 1e-18
 
     @pytest.mark.parametrize("L", [2, 8, 17, 96, 100, 127, 256, 512])
     def test_matches_naive_dft(self, L):
         x = np.random.default_rng(L).normal(size=L)
-        sp = F.fft_real(x)
+        re, im = F.fft_real_raw(x)
         ref = naive_dft(x)
         scale = max(1.0, np.abs(ref).max())
-        assert np.abs(sp.re + 1j * sp.im - ref).max() / scale < 1e-9
-
-    def test_conjugate_symmetry(self):
-        for L in (8, 96, 101):
-            sp = F.fft_real(np.random.default_rng(L).normal(size=L))
-            assert sp.max_conjugate_asymmetry() < 1e-10
-
-    def test_round_trip(self):
-        for L in (2, 8, 96, 255):
-            x = np.random.default_rng(L).normal(size=L)
-            assert np.abs(F.ifft_real(F.fft_real(x)) - x).max() < 1e-9
-
-    def test_too_short_raises(self):
-        with pytest.raises(InputError):
-            F.fft_real(np.array([1.0]))
+        assert np.abs(re + 1j * im - ref).max() / scale < 1e-9
 
     def test_batched_agrees_with_rows(self):
         rng = np.random.default_rng(0)
@@ -58,9 +47,9 @@ class TestFftReal:
         re, im = F.fft_real_raw(x)
         for i in range(4):
             for j in range(3):
-                row = F.fft_real(x[i, j])
-                assert np.allclose(re[i, j], row.re, atol=1e-12)
-                assert np.allclose(im[i, j], row.im, atol=1e-12)
+                row_re, row_im = F.fft_real_raw(x[i, j])
+                assert np.allclose(re[i, j], row_re, atol=1e-12)
+                assert np.allclose(im[i, j], row_im, atol=1e-12)
 
 
 class TestComplexTransforms:

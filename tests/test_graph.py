@@ -6,6 +6,10 @@ from seedcast import tensor as T
 from seedcast.errors import ConfigError
 
 
+def silu(x):
+    return x / (1.0 + np.exp(-x))
+
+
 def knn_oracle(row, self_idx, k):
     """Sort-based reference: self first, then by (-|w|, column index)."""
     order = sorted((j for j in range(len(row)) if j != self_idx),
@@ -150,7 +154,7 @@ class TestTanhL1Graph:
 class TestKnnSparsify:
     def _graph(self, weights):
         w = np.asarray(weights, dtype=float)
-        return G.SignedGraph(T.Tensor(w), G.VARIANT_TANH_SIGNED)
+        return G.SignedGraph(T.Tensor(w))
 
     def test_full_k_is_identity(self):
         rng = np.random.default_rng(8)
@@ -245,18 +249,18 @@ class TestSignPreservation:
 
 
 class TestGcn:
-    def test_self_loops_unit_weights_identity_activation(self):
+    def test_self_loops_unit_weights(self):
         n, d, h = 4, 6, 2
         x = np.random.default_rng(13).normal(size=(n, d))
-        eye_graph = G.SignedGraph(T.Tensor(np.stack([np.eye(n)] * h)), "tanh-signed")
-        params = G.GcnParams(T.Tensor(np.stack([np.eye(d // h)] * h)), activation="identity")
+        eye_graph = G.SignedGraph(T.Tensor(np.stack([np.eye(n)] * h)))
+        params = G.GcnParams(T.Tensor(np.stack([np.eye(d // h)] * h)))
         out = G.gcn(T.Tensor(x), eye_graph, params)
-        assert np.abs(out.data - 2 * x).max() < 1e-12  # input + its own transform
+        assert np.abs(out.data - (x + silu(x))).max() < 1e-12  # input + its own transform
 
     def test_zero_graph_reduces_to_residual(self):
         n, d, h = 3, 4, 2
         x = np.random.default_rng(14).normal(size=(n, d))
-        zero_graph = G.SignedGraph(T.Tensor(np.zeros((h, n, n))), "tanh-signed")
+        zero_graph = G.SignedGraph(T.Tensor(np.zeros((h, n, n))))
         params = G.GcnParams(T.Tensor(np.random.default_rng(15).normal(size=(h, 2, 2))))
         out = G.gcn(T.Tensor(x), zero_graph, params)
         assert np.array_equal(out.data, x)  # silu(0) = 0
@@ -266,9 +270,8 @@ class TestGcn:
         x = rng.normal(size=(3, 2))
         adj = rng.normal(size=(1, 3, 3))
         w = rng.normal(size=(1, 2, 2))
-        out = G.gcn(T.Tensor(x), G.SignedGraph(T.Tensor(adj), "tanh-signed"),
-                    G.GcnParams(T.Tensor(w), activation="identity"))
-        expected = x + (adj[0] @ x) @ w[0]
+        out = G.gcn(T.Tensor(x), G.SignedGraph(T.Tensor(adj)), G.GcnParams(T.Tensor(w)))
+        expected = x + silu((adj[0] @ x) @ w[0])
         assert np.abs(out.data - expected).max() < 1e-10
 
 

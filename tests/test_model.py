@@ -231,6 +231,29 @@ class TestBlockedForward:
             model.forward(batch)
         assert calls == [step, step, 5]
 
+    @pytest.mark.parametrize("variant", ["full", "wo_tattn", "wo_cse", "re_f1", "re_f3"])
+    def test_entropy_only_where_the_fusion_reads_it(self, monkeypatch, variant):
+        import seedcast.model as M
+
+        model = _default_model(variant)
+        calls = []
+        entropy = M.entropy_tensor
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return entropy(*args, **kwargs)
+
+        monkeypatch.setattr(M, "entropy_tensor", counted)
+        step = model.block_windows(8)
+        batch = _windows(2 * step + 5, 8, seed=26)
+        with T.no_grad():
+            model.forward(batch)
+        blocks = -(-len(batch) // step)
+        assert len(calls) == (blocks if variant == "full" else 0)
+        calls.clear()
+        model.entropy_of(batch)
+        assert len(calls) == 1
+
 
 class TestChannelIndependence:
     def test_wo_cse_channels_never_mix(self):
@@ -307,11 +330,11 @@ class TestCountParams:
                     + cfg.n_layers * per_layer
                     + N * D * T_ + T_)      # head
         assert model.count_params() == expected
-        # The 2L shaping-filter weights exist only where they train: with an
+        # The L shaping-filter gains exist only where they train: with an
         # attached entropy that the fusion reads.
         trained = SeedModel(micro_config(variant=variant, detach_entropy=False))
         reads_entropy = wiring["fusion"] in ("entropy_sim", "swapped")
-        assert trained.count_params() == expected + 2 * L * reads_entropy
+        assert trained.count_params() == expected + L * reads_entropy
 
 
 class TestParameterWiring:
@@ -326,10 +349,7 @@ class TestParameterWiring:
                    0.1).backward()
         for name, p in model.named_params().items():
             assert p.grad is not None, name
-            # The entropy reads the filtered power |H|^2 |Z|^2, whose derivative in
-            # Im H is 2 Im H |Z|^2: zero at the identity filter Im H = 0.
-            if name != "filter.im":
-                assert np.any(p.grad != 0), name
+            assert np.any(p.grad != 0), name
 
     def test_shared_seed_shares_every_draw(self):
         def params(variant):
@@ -362,7 +382,7 @@ class TestCheckpoint:
         w = np.random.default_rng(12).normal(size=(2, 8))
         for detach in (True, False):
             model, path = _saved(tmp_path, detach_entropy=detach)
-            assert ("filter.re" in model.named_params()) is not detach
+            assert ("filter.gain" in model.named_params()) is not detach
             again = SeedModel.load(path)
             assert again.config == model.config
             assert again.named_params().keys() == model.named_params().keys()
@@ -410,7 +430,7 @@ class TestCheckpoint:
             with pytest.raises(ConfigError):
                 SeedModel.load(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 5])
     def test_version_mismatch(self, tmp_path, version):
         model, path = _saved(tmp_path)
         with np.load(path, allow_pickle=False) as ckpt:

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from seedcast import fft as F
 from seedcast import spectral as S
 from seedcast import tensor as T
 from seedcast.errors import DegenerateInputError, InputError, ShapeError
+from seedcast.model import ModelConfig, SeedModel
 from tests_helpers import strided_windows
 
 
@@ -23,35 +23,36 @@ def acf_double_loop(x, max_lag):
     return r[1:] / r[0]
 
 
-def _filtered(spectrum, filt):
-    sr, si = S.complex_filter_mul(T.Tensor(spectrum.re), T.Tensor(spectrum.im), filt)
-    return sr.data, si.data
+def _entropy(x, filt=None, degenerate="error"):
+    with T.no_grad():
+        return S.entropy_tensor(T.Tensor(x), filt, degenerate=degenerate).data
 
 
 class TestApplyFilter:
     def test_identity_filter(self):
-        sp = F.fft_real(np.random.default_rng(0).normal(size=16))
-        re, im = _filtered(sp, S.ShapingFilter(16))
-        assert np.array_equal(re, sp.re)
-        assert np.array_equal(im, sp.im)
+        x = np.random.default_rng(0).normal(size=(3, 16))
+        assert np.array_equal(_entropy(x, S.ShapingFilter(16)), _entropy(x))
 
     def test_annihilator(self):
         filt = S.ShapingFilter(16)
-        filt.w_re.data[:] = 0.0
-        sp = F.fft_real(np.random.default_rng(1).normal(size=16))
-        re, im = _filtered(sp, filt)
-        assert np.all(re == 0) and np.all(im == 0)
+        filt.gain.data[:] = 0.0
+        x = np.random.default_rng(1).normal(size=(2, 16))
+        assert np.all(_entropy(x, filt, degenerate="zero") == 0.0)
+        with pytest.raises(DegenerateInputError):
+            _entropy(x, filt)
 
-    def test_complex_multiply_oracle(self):
+    def test_power_scales_by_gain_squared(self):
         rng = np.random.default_rng(2)
-        sp = F.ComplexSpectrum(rng.normal(size=8), rng.normal(size=8))
+        x = rng.normal(size=(4, 8))
         filt = S.ShapingFilter(8)
-        filt.w_re.data = rng.normal(size=8)
-        filt.w_im.data = rng.normal(size=8)
-        re, im = _filtered(sp, filt)
-        for i in range(8):
-            ref = complex(sp.re[i], sp.im[i]) * complex(filt.w_re.data[i], filt.w_im.data[i])
-            assert abs(complex(re[i], im[i]) - ref) < 1e-12
+        filt.gain.data = rng.normal(size=8)
+        z = np.fft.fft(x - x.mean(axis=-1, keepdims=True), axis=-1)
+        power = filt.gain.data**2 * np.abs(z) ** 2
+        p = power / power.sum(axis=-1, keepdims=True)
+        ref = -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=-1) / np.log(8)  # 0 log 0 = 0
+        assert np.abs(_entropy(x, filt) - ref).max() < 1e-12
+        filt.gain.data = -filt.gain.data  # only gain^2 reaches the power
+        assert np.abs(_entropy(x, filt) - ref).max() < 1e-12
 
     def test_length_mismatch(self):
         x = T.Tensor(np.random.default_rng(4).normal(size=(2, 8)))
@@ -94,8 +95,7 @@ class TestSpectralEntropy:
         for _ in range(50):
             L = int(rng.integers(8, 80))
             filt = S.ShapingFilter(L)
-            filt.w_re.data = rng.normal(size=L)
-            filt.w_im.data = rng.normal(size=L)
+            filt.gain.data = rng.normal(size=L)
             val = S.spectral_entropy(rng.normal(size=L), filt)
             assert 0.0 <= val <= 1.0
 
@@ -125,31 +125,37 @@ class TestSpectralEntropy:
         assert 0.0 < ent.data[1] <= 1.0
 
 
+def _entropy_of(window, **kw):
+    """Per-variable entropy as the model's forward pass sees it."""
+    c, L = window.shape[-2:]
+    return SeedModel(ModelConfig(lookback=L, horizon=8, n_vars=c, **kw)).entropy_of(window)
+
+
 class TestEvaluateDependencies:
     def test_identical_rows_identical_entropies(self):
         row = np.random.default_rng(8).normal(size=64)
-        ev = S.evaluate_dependencies(np.stack([row, row, row]))
-        assert len(ev) == 3
-        assert np.all(ev.values == ev.values[0])
+        ent = _entropy_of(np.stack([row, row, row]))
+        assert ent.shape == (3,)
+        assert np.all(ent == ent[0])
 
     def test_sine_below_noise(self):
         t = np.arange(96)
         sine = np.sin(2 * np.pi * t / 24)
         noise = np.random.default_rng(9).normal(size=96)
-        ev = S.evaluate_dependencies(np.stack([sine, noise]))
-        assert ev.values[0] < ev.values[1]
+        ent = _entropy_of(np.stack([sine, noise]))
+        assert ent[0] < ent[1]
 
     def test_identity_filter_matches_unfiltered(self):
         w = np.random.default_rng(10).normal(size=(4, 48))
-        with_filter = S.evaluate_dependencies(w, S.ShapingFilter(48))
-        without = S.evaluate_dependencies(w)
-        assert np.allclose(with_filter.values, without.values, atol=1e-14)
+        with_filter = _entropy_of(w, detach_entropy=False)  # holds a fresh gain of 1
+        without = _entropy_of(w)
+        assert np.array_equal(with_filter, without)
 
     def test_strided_window_matches_copy(self):
         view, copy = strided_windows(12, 8, 96, seed=11)
+        assert np.array_equal(_entropy_of(view), _entropy_of(copy))
         for i in range(12):
-            assert np.array_equal(S.evaluate_dependencies(view[i]).values,
-                                  S.evaluate_dependencies(copy[i]).values)
+            assert np.array_equal(_entropy_of(view[i]), _entropy_of(copy[i]))
 
 
 class TestAutocorrelation:

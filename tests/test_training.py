@@ -51,6 +51,12 @@ class TestLossSpen:
                                T.Tensor(rng.normal(size=(3, 16)))).item()
             assert 0.0 <= val <= 1.0
 
+    def test_single_series(self):
+        rng = np.random.default_rng(9)
+        y, yhat = rng.normal(size=32), rng.normal(size=32)
+        ref = (spectral_entropy(y) - spectral_entropy(yhat)) ** 2
+        assert TR.loss_spen(y, T.Tensor(yhat)).item() == pytest.approx(ref, abs=1e-12)
+
     def test_constant_series_uses_zero_entropy(self):
         y = np.full((1, 16), 2.0)
         yhat = np.random.default_rng(5).normal(size=(1, 16))
