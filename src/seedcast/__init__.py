@@ -9,6 +9,33 @@ if _threads:
                  "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         _os.environ.setdefault(_var, _threads)
 
+
+def _keep_freed_pages():
+    """Keep freed heap pages in the process, so each training step reuses the last one's.
+
+    glibc otherwise trims the heap top and maps large arrays afresh, so every
+    step would fault its tape back in. 32 MiB is glibc's own ceiling for its
+    dynamic mmap threshold, which setting any parameter switches off. Other
+    C libraries keep their defaults.
+    """
+    try:
+        libc = _os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        libc = ""
+    if not libc.startswith("glibc"):
+        return
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3  # <malloc.h>
+    mallopt(m_trim_threshold, -1)  # never trim the heap
+    mallopt(m_mmap_threshold, 32 << 20)
+
+
+_keep_freed_pages()
+
 from .errors import (  # noqa: E402
     ConfigError,
     DataError,

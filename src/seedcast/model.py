@@ -129,6 +129,9 @@ class ModelConfig:
         d = dict(d)
         if "lambda" in d:
             d["lam"] = d.pop("lambda")
+        unknown = d.keys() - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown model config keys {sorted(unknown)}")
         return cls(**d)
 
 

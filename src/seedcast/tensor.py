@@ -2,7 +2,8 @@
 
 A Tensor wraps a numpy array plus an optional gradient accumulator. Ops
 record a backward closure on a tape; ``backward()`` walks the graph in
-reverse topological order and sums gradients across fan-out. Broadcasting
+reverse topological order, sums gradients across fan-out, and releases the
+graph as it goes, so a second ``backward()`` through it raises. Broadcasting
 follows numpy's rules for size-1/leading axes; anything that does not
 broadcast raises ShapeError up front.
 """
@@ -14,7 +15,7 @@ import numbers
 import numpy as np
 
 from . import fft as _fft
-from .errors import NumericError, ShapeError
+from .errors import InputError, NumericError, ShapeError
 
 _GRAD_ENABLED = True
 
@@ -109,6 +110,11 @@ class Tensor:
                     continue
                 # Fan-out sums; grads are never mutated in place, so sharing is safe.
                 parent.grad = g if parent.grad is None else parent.grad + g
+            # Release the graph: drop the closure, what it captured, and the parent
+            # links. ``topo`` still holds every node, so their arrays are freed
+            # together when backward() returns, not interleaved with the walk.
+            node._parents = ()
+            node._backward = _released
             if node is not self:
                 node.grad = None  # free intermediate gradients early
 
@@ -159,6 +165,13 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         return tmean(self, axis, keepdims)
+
+
+def _released(g):
+    raise InputError(
+        "backward() through a graph that an earlier backward() released; "
+        "run the forward again to build a new one"
+    )
 
 
 def _ensure(x) -> Tensor:

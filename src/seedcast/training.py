@@ -116,6 +116,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.lam is not None and self.lam < 0:
+            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
 
     def to_dict(self) -> dict:
         return config_dict(self)

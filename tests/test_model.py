@@ -51,6 +51,11 @@ class TestModelConfig:
             out = SeedModel(micro_config(knn_k=k, variant=variant)).forward(w)
             assert out.shape == (2, 4) and np.all(np.isfinite(out.data))
 
+    def test_from_dict_rejects_unknown_keys(self):
+        d = {**micro_config().to_dict(), "revin": True, "per_head_q": False}
+        with pytest.raises(ConfigError, match=r"\['per_head_q', 'revin'\]"):
+            ModelConfig.from_dict(d)
+
     def test_n_patches_ceil(self):
         assert ModelConfig(lookback=96, patch_len=20).n_patches == 5
         assert ModelConfig(lookback=96, patch_len=16).n_patches == 6
@@ -372,6 +377,18 @@ def _saved(tmp_path, **kw):
     return model, path
 
 
+def _saved_with_meta(tmp_path, edit):
+    """Path of a saved micro checkpoint whose JSON metadata went through ``edit``."""
+    model, path = _saved(tmp_path)
+    with np.load(path, allow_pickle=False) as ckpt:
+        arrays = dict(ckpt)
+    (key,) = arrays.keys() - model.named_params().keys()
+    arrays[key] = np.array(json.dumps(edit(json.loads(arrays[key].item()))))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    return path
+
+
 def _rewrite(path, raw):
     with open(path, "wb") as fh:
         fh.write(raw)
@@ -432,15 +449,14 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("version", [1, 2, 3, 5])
     def test_version_mismatch(self, tmp_path, version):
-        model, path = _saved(tmp_path)
-        with np.load(path, allow_pickle=False) as ckpt:
-            arrays = dict(ckpt)
-        (key,) = arrays.keys() - model.named_params().keys()
-        meta = json.loads(arrays[key].item())
-        arrays[key] = np.array(json.dumps({**meta, "version": version}))
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
+        path = _saved_with_meta(tmp_path, lambda meta: {**meta, "version": version})
         with pytest.raises(ConfigError, match="version"):
+            SeedModel.load(path)
+
+    def test_unknown_config_key(self, tmp_path):
+        path = _saved_with_meta(
+            tmp_path, lambda meta: {**meta, "config": {**meta["config"], "revin": True}})
+        with pytest.raises(ConfigError, match="revin"):
             SeedModel.load(path)
 
     def test_state_shape_mismatch(self):

@@ -1,8 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from seedcast import tensor as T
-from seedcast.errors import NumericError, ShapeError
+from seedcast.errors import InputError, NumericError, ShapeError
 
 
 def triple_loop_matmul(a, b):
@@ -226,6 +228,46 @@ class TestNoGrad:
         assert len(logs) == 1
         T.tsum(T.xlogx(x)).backward()  # the tape's backward reuses the forward's log
         assert len(logs) == 2
+
+
+class TestRelease:
+    """``backward()`` frees the graph it walked; leaves keep their gradients."""
+
+    def test_interior_node_freed_once_caller_drops_it(self):
+        x = T.Tensor(np.arange(4.0), requires_grad=True)
+        h = x * 2.0
+        loss = T.tsum(h * h)
+        loss.backward()
+        ref = weakref.ref(h.data)  # Tensor has __slots__ and no __weakref__
+        del h
+        assert ref() is None  # the live ``loss`` no longer reaches it
+        assert np.array_equal(x.grad, 8.0 * np.arange(4.0))
+
+    def test_second_backward_raises(self):
+        x = T.Tensor(np.arange(3.0), requires_grad=True)
+        h = T.exp(x)
+        loss = T.tsum(h)
+        loss.backward()
+        with pytest.raises(InputError, match="released"):
+            loss.backward()
+        with pytest.raises(InputError, match="released"):
+            T.tsum(h * 3.0).backward()  # a second loss through the released h
+
+    def test_parameter_shared_by_two_graphs(self):
+        rng = np.random.default_rng(10)
+        wv, a, b = rng.normal(size=(3, 5))
+        w = T.Tensor(wv, requires_grad=True)
+        T.tsum(w * a).backward()
+        assert np.array_equal(w.grad, a)
+        w.zero_grad()
+        T.tsum(w * w * b).backward()
+        assert np.allclose(w.grad, 2.0 * wv * b, rtol=0, atol=1e-15)
+        # Both graphs built before either backward: the leaf accumulates.
+        w.zero_grad()
+        first, second = T.tsum(w * a), T.tsum(w * w * b)
+        first.backward()
+        second.backward()
+        assert np.allclose(w.grad, a + 2.0 * wv * b, rtol=0, atol=1e-15)
 
 
 BINARY_OPS = {

@@ -1,6 +1,14 @@
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import seedcast
 from seedcast import data as D
 from seedcast import tensor as T
 from seedcast import training as TR
@@ -103,6 +111,12 @@ class TestTotalLoss:
     def test_negative_lambda(self):
         with pytest.raises(ConfigError):
             TR.total_loss(np.zeros((1, 4)), T.Tensor(np.zeros((1, 4))), -0.5)
+
+    def test_train_config_checks_lambda(self):
+        with pytest.raises(ConfigError, match="lambda"):
+            TR.TrainConfig(lam=-0.5)
+        assert TR.TrainConfig(lam=None).lam is None
+        assert TR.TrainConfig(lam=0.0).lam == 0.0
 
 
 class TestEvaluate:
@@ -260,6 +274,64 @@ class TestTrain:
                                val=splits.val, test=splits.test)
         with pytest.raises(DataError):
             TR.train(tiny_model(), bad, TR.TrainConfig(epochs=1))
+
+
+def _traced_peak(fn) -> int:
+    """Bytes ``fn()`` holds at its peak above what was live when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestStepMemory:
+    def test_train_keeps_one_live_tape(self):
+        rng = np.random.default_rng(0)
+        t = np.arange(600)[:, None]
+        values = np.sin(2 * np.pi * t / (6 + np.arange(4))) + 0.1 * rng.normal(size=(600, 4))
+        splits = D.make_splits(D.Dataset("sines", values, split_ratio=(6, 2, 2)), 24, 8)
+        cfg = ModelConfig(lookback=24, horizon=8, patch_len=8, d_model=16, attn_heads=2,
+                          gcn_heads=2, n_layers=1, n_vars=4, seed=0)
+        batch = 32
+        model = SeedModel(cfg)
+        idx = np.arange(batch)
+
+        def one_step():
+            TR.total_loss(splits.train.y[idx], model.forward(splits.train.x[idx]),
+                          cfg.lam).backward()
+
+        step_peak = _traced_peak(one_step)
+        train_cfg = TR.TrainConfig(epochs=1, batch_size=batch, seed=0)
+        assert len(splits.train) >= 4 * batch  # several steps, each after a finished one
+        epoch_peak = _traced_peak(lambda: TR.train(SeedModel(cfg), splits, train_cfg))
+        # Holding the previous step's tape while building the next reads 1.7x here.
+        assert epoch_peak < 1.5 * step_peak
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc policy")
+    def test_freed_pages_stay_in_the_process(self):
+        script = textwrap.dedent("""
+            import resource
+            import numpy as np
+            import seedcast
+
+            def round_faults():
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                arrays = [np.ones(1 << 20) for _ in range(20)]  # 8 MiB each, touched
+                del arrays
+                return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+            print(round_faults(), round_faults())
+        """)
+        src = os.path.dirname(os.path.dirname(seedcast.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        first, second = map(int, out.stdout.split())
+        assert second < 0.1 * first  # glibc's default policy reads about 1x
 
 
 class TestEntropyLossDrivesEntropy:
