@@ -60,14 +60,14 @@ def temporal_attention(
     if d % h != 0:
         raise ConfigError(f"attention heads ({h}) must divide d_model ({d})")
     dk = d // h
-    q = split_heads(T.matmul(tokens, params.wq) + params.bq, h)
-    k = split_heads(T.matmul(tokens, params.wk) + params.bk, h)
-    v = split_heads(T.matmul(tokens, params.wv) + params.bv, h)
+    q = split_heads(T.linear(tokens, params.wq, params.bq), h)
+    k = split_heads(T.linear(tokens, params.wk, params.bk), h)
+    v = split_heads(T.linear(tokens, params.wv, params.bv), h)
     kt = T.transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
     scores = T.matmul(q, kt) * (1.0 / np.sqrt(dk))
     attn = T.softmax(scores, axis=-1)
     out = merge_heads(T.matmul(attn, v))
-    out = T.matmul(out, params.wo) + params.bo
+    out = T.linear(out, params.wo, params.bo)
     if return_weights:
         return out, attn.data
     return out

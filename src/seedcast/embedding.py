@@ -84,7 +84,7 @@ def patch_and_embed(window: np.ndarray, params: EmbedParams) -> PatchTokens:
         raise ShapeError(
             f"positional encoding covers {params.pe.shape[0]} patches, window yields {n}"
         )
-    tokens = T.matmul(T.Tensor(patches), params.weight) + params.bias + T.Tensor(params.pe)
+    tokens = T.linear(T.Tensor(patches), params.weight, params.bias) + T.Tensor(params.pe)
     return PatchTokens(tokens, patch_len, n)
 
 
@@ -102,5 +102,5 @@ def project_output(tokens: T.Tensor, params: HeadParams, stats: NormStats) -> T.
             f"head expects flattened width {params.weight.shape[0]}, tokens give {n * d}"
         )
     flat = tokens.reshape(tokens.shape[:-2] + (n * d,))
-    out = T.matmul(flat, params.weight) + params.bias
+    out = T.linear(flat, params.weight, params.bias)
     return out * T.Tensor(stats.std) + T.Tensor(stats.mean)

@@ -85,12 +85,24 @@ def sign_softmax_graph(scores: T.Tensor) -> SignedGraph:
 
 
 def tanh_l1_graph(scores: T.Tensor) -> SignedGraph:
-    """tanh(s) normalized by the row L1 norm; all-zero rows stay all-zero."""
-    th = T.tanh(scores)
-    denom = T.absolute(th).sum(axis=-1, keepdims=True)
-    guard = (denom.data == 0.0).astype(np.float64)
-    weights = th / (denom + T.Tensor(guard))
-    return SignedGraph(weights)
+    """tanh(s) normalized by the row L1 norm; all-zero rows stay all-zero.
+
+    One tape node that keeps only the row norms besides its output. Its
+    backward recomputes tanh from the scores and takes the derivative of the
+    tanh, |.|, row-sum and division chain in that chain's own order.
+    """
+    th = np.tanh(scores.data)
+    denom = np.abs(th).sum(axis=-1, keepdims=True)
+    denom += denom == 0.0  # an all-zero row divides by 1
+    weights = np.divide(th, denom, out=th)
+
+    def _bw(g):
+        th = np.tanh(scores.data)
+        g_denom = (-g * th / (denom * denom)).sum(axis=-1, keepdims=True)
+        g_th = g / denom + np.broadcast_to(g_denom, th.shape) * np.sign(th)
+        return (g_th * (1.0 - th * th),)
+
+    return SignedGraph(T.node(weights, (scores,), _bw))
 
 
 def plain_softmax_graph(scores: T.Tensor) -> SignedGraph:
@@ -108,8 +120,9 @@ GRAPH_BUILDERS = {
 def knn_sparsify(graph: SignedGraph, k: int) -> SignedGraph:
     """Keep the k largest-|weight| entries per row (self always kept, counted).
 
-    Ties break toward the lower column index. The mask is a constant of the
-    forward pass: gradients flow only through retained entries.
+    Ties break toward the lower column index. The bool mask is a constant of
+    the forward pass, applied in one tape node: gradients flow only through
+    retained entries.
     """
     n = graph.weights.shape[-1]
     if not 1 <= k <= n:
@@ -118,15 +131,17 @@ def knn_sparsify(graph: SignedGraph, k: int) -> SignedGraph:
     absw[np.isnan(absw)] = -1.0  # NaN ranks last, as in a sort
     idx = np.arange(n)
     absw[..., idx, idx] = np.inf  # self-edge ranks first
-    # Keep everything above the k-th largest |w|; fill the rest of the row
-    # from the entries equal to it, lowest column index first.
+    # Keep everything at or above the k-th largest |w|. Where a row holds more
+    # entries equal to it than it has room for, keep the lowest column indices.
     kth = np.partition(absw, n - k, axis=-1)[..., n - k : n - k + 1]
-    above = absw > kth
-    tie = absw == kth
-    room = k - above.sum(axis=-1, keepdims=True)
-    mask = above | (tie & (np.cumsum(tie, axis=-1, dtype=np.int32) <= room))
-    weights = graph.weights * T.Tensor(mask.astype(np.float64))
-    return SignedGraph(weights, mask)
+    mask = absw >= kth
+    if (np.count_nonzero(mask, axis=-1) > k).any():
+        above = absw > kth
+        tie = mask & ~above
+        room = k - above.sum(axis=-1, keepdims=True)
+        mask = above | (tie & (np.cumsum(tie, axis=-1, dtype=np.int32) <= room))
+    w = graph.weights
+    return SignedGraph(T.node(w.data * mask, (w,), lambda g: (g * mask,)), mask)
 
 
 @dataclass

@@ -179,10 +179,39 @@ class LayerParams:
 
 
 def layer_norm(x: T.Tensor, gamma: T.Tensor, beta: T.Tensor, eps: float = 1e-5) -> T.Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    return xc / T.sqrt(var + eps) * gamma + beta
+    """``(x - mean) / sqrt(var + eps) * gamma + beta`` over the last axis, as one tape node.
+
+    Ba et al., arXiv:1607.06450. The node keeps only the per-row std besides
+    its output. Its backward recomputes the centred input from ``x`` and takes
+    the chain's derivative step by step, in the order that chain's own nodes
+    would, so where ``x`` feeds nothing else its gradients are the chain's to
+    the bit.
+    """
+    shape, d = x.shape, x.shape[-1]
+
+    def centred():
+        return x.data - x.data.mean(axis=-1, keepdims=True)
+
+    xc = centred()
+    std = np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    out = xc / std
+    out *= gamma.data
+    out += beta.data
+
+    def _bw(g):
+        xc = centred()
+        g_gamma = T.unbroadcast(g * (xc / std), gamma.shape) if gamma.requires_grad else None
+        g_beta = T.unbroadcast(g, beta.shape) if beta.requires_grad else None
+        if not x.requires_grad:
+            return None, g_gamma, g_beta
+        g_xhat = g * gamma.data
+        g_std = T.unbroadcast(-g_xhat * xc / (std * std), std.shape)
+        g_sq = np.broadcast_to(g_std * 0.5 / std, shape) / d  # through sqrt(mean(xc * xc))
+        g_sq_xc = g_sq * xc
+        g_xc = g_xhat / std + g_sq_xc + g_sq_xc  # xc / std, then both factors of xc * xc
+        return g_xc + np.broadcast_to(T.unbroadcast(-g_xc, std.shape), shape) / d, g_gamma, g_beta
+
+    return T.node(out, (x, gamma, beta), _bw)
 
 
 def _learned_scalar(t, e, ent, lp: LayerParams) -> T.Tensor:
@@ -191,7 +220,7 @@ def _learned_scalar(t, e, ent, lp: LayerParams) -> T.Tensor:
 
 
 def _learned_map(t, e, ent, lp: LayerParams) -> T.Tensor:
-    w = T.sigmoid(T.matmul(T.concat([t, e], axis=-1), lp.fuse_w) + lp.fuse_b)  # (..., C, N, 1)
+    w = T.sigmoid(T.linear(T.concat([t, e], axis=-1), lp.fuse_w, lp.fuse_b))  # (..., C, N, 1)
     return blend(t, e, w.reshape(w.shape[:-1]))
 
 
@@ -385,7 +414,7 @@ class SeedModel:
             f = blend(t_feat, e_feat, T.Tensor(np.full(x.shape[:-1], force_w)))
 
         h = layer_norm(x + f, lp.ln1_g, lp.ln1_b)
-        ff = T.matmul(T.silu(T.matmul(h, lp.ff_w1) + lp.ff_b1), lp.ff_w2) + lp.ff_b2
+        ff = T.linear(T.silu(T.linear(h, lp.ff_w1, lp.ff_b1)), lp.ff_w2, lp.ff_b2)
         return layer_norm(h + ff, lp.ln2_g, lp.ln2_b)
 
     # -- checkpointing --------------------------------------------------------------

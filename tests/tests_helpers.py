@@ -1,4 +1,4 @@
-"""Shared parameter builders for attention/graph tests, and strided test windows."""
+"""Shared parameter builders for attention/graph tests, strided test windows, tape sizes."""
 
 import numpy as np
 
@@ -45,3 +45,34 @@ def strided_windows(n_windows, n_vars, length, seed=0):
         size=(n_windows + length - 1, n_vars)).cumsum(axis=0)
     view = np.lib.stride_tricks.sliding_window_view(series, length, axis=0)
     return view, np.ascontiguousarray(view)
+
+
+def tape_bytes(out) -> int:
+    """Bytes of the distinct arrays that the graph behind ``out`` keeps alive.
+
+    Walks ``_parents`` from ``out``; at each node it counts the node's data and
+    every array in its backward closure's cells, following closures nested in
+    them. Views count as their base array, and each base array counts once.
+    Call it before ``backward()``, which releases the graph.
+    """
+    bases, seen, stack = {}, {}, [out]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen[id(obj)] = obj  # keeps obj alive, so its id is not reused mid-walk
+        if isinstance(obj, T.Tensor):
+            stack += [obj.data, obj._backward, *obj._parents]
+        elif isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            bases[id(obj)] = obj
+        elif isinstance(obj, (tuple, list)):
+            stack += obj
+        elif callable(obj):
+            for cell in getattr(obj, "__closure__", None) or ():
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:  # a cell not yet filled
+                    pass
+    return sum(a.nbytes for a in bases.values())
