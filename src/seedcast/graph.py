@@ -102,7 +102,7 @@ def tanh_l1_graph(scores: T.Tensor) -> SignedGraph:
         g_th = g / denom + np.broadcast_to(g_denom, th.shape) * np.sign(th)
         return (g_th * (1.0 - th * th),)
 
-    return SignedGraph(T.node(weights, (scores,), _bw))
+    return SignedGraph(T._node(weights, (scores,), _bw))
 
 
 def plain_softmax_graph(scores: T.Tensor) -> SignedGraph:
@@ -131,17 +131,18 @@ def knn_sparsify(graph: SignedGraph, k: int) -> SignedGraph:
     absw[np.isnan(absw)] = -1.0  # NaN ranks last, as in a sort
     idx = np.arange(n)
     absw[..., idx, idx] = np.inf  # self-edge ranks first
-    # Keep everything at or above the k-th largest |w|. Where a row holds more
-    # entries equal to it than it has room for, keep the lowest column indices.
+    # Keep everything at or above the k-th largest |w|. Every row keeps at
+    # least k entries that way, so more than k per row on average means some
+    # row ties past its room; there, keep the lowest column indices.
     kth = np.partition(absw, n - k, axis=-1)[..., n - k : n - k + 1]
     mask = absw >= kth
-    if (np.count_nonzero(mask, axis=-1) > k).any():
+    if np.count_nonzero(mask) > k * (mask.size // n):
         above = absw > kth
         tie = mask & ~above
         room = k - above.sum(axis=-1, keepdims=True)
         mask = above | (tie & (np.cumsum(tie, axis=-1, dtype=np.int32) <= room))
     w = graph.weights
-    return SignedGraph(T.node(w.data * mask, (w,), lambda g: (g * mask,)), mask)
+    return SignedGraph(T._node(w.data * mask, (w,), lambda g: (g * mask,)), mask)
 
 
 @dataclass

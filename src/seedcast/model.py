@@ -200,18 +200,18 @@ def layer_norm(x: T.Tensor, gamma: T.Tensor, beta: T.Tensor, eps: float = 1e-5) 
 
     def _bw(g):
         xc = centred()
-        g_gamma = T.unbroadcast(g * (xc / std), gamma.shape) if gamma.requires_grad else None
-        g_beta = T.unbroadcast(g, beta.shape) if beta.requires_grad else None
+        g_gamma = T._unbroadcast(g * (xc / std), gamma.shape) if gamma.requires_grad else None
+        g_beta = T._unbroadcast(g, beta.shape) if beta.requires_grad else None
         if not x.requires_grad:
             return None, g_gamma, g_beta
         g_xhat = g * gamma.data
-        g_std = T.unbroadcast(-g_xhat * xc / (std * std), std.shape)
+        g_std = T._unbroadcast(-g_xhat * xc / (std * std), std.shape)
         g_sq = np.broadcast_to(g_std * 0.5 / std, shape) / d  # through sqrt(mean(xc * xc))
         g_sq_xc = g_sq * xc
         g_xc = g_xhat / std + g_sq_xc + g_sq_xc  # xc / std, then both factors of xc * xc
-        return g_xc + np.broadcast_to(T.unbroadcast(-g_xc, std.shape), shape) / d, g_gamma, g_beta
+        return g_xc + np.broadcast_to(T._unbroadcast(-g_xc, std.shape), shape) / d, g_gamma, g_beta
 
-    return T.node(out, (x, gamma, beta), _bw)
+    return T._node(out, (x, gamma, beta), _bw)
 
 
 def _learned_scalar(t, e, ent, lp: LayerParams) -> T.Tensor:

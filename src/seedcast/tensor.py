@@ -182,7 +182,7 @@ def _ensure(x) -> Tensor:
     raise TypeError(f"cannot treat {type(x).__name__} as Tensor")
 
 
-def node(data: np.ndarray, parents, backward) -> Tensor:
+def _node(data: np.ndarray, parents, backward) -> Tensor:
     """The output of an op over ``parents``, taped when any of them needs a gradient.
 
     ``backward(g)`` maps the output's gradient to one gradient per parent, in
@@ -197,7 +197,7 @@ def node(data: np.ndarray, parents, backward) -> Tensor:
     return out
 
 
-def unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
+def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     """Sum ``grad`` over the axes along which an operand of ``shape`` was broadcast."""
     if grad.shape == tuple(shape):
         return grad
@@ -231,42 +231,42 @@ def _check_broadcast(a: Tensor, b: Tensor, opname: str):
 def add(a, b) -> Tensor:
     a, b = _ensure(a), _ensure(b)
     _check_broadcast(a, b, "add")
-    return node(
+    return _node(
         a.data + b.data,
         (a, b),
-        _binary_bw(a, b, lambda g: unbroadcast(g, a.shape), lambda g: unbroadcast(g, b.shape)),
+        _binary_bw(a, b, lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape)),
     )
 
 
 def sub(a, b) -> Tensor:
     a, b = _ensure(a), _ensure(b)
     _check_broadcast(a, b, "sub")
-    return node(
+    return _node(
         a.data - b.data,
         (a, b),
-        _binary_bw(a, b, lambda g: unbroadcast(g, a.shape), lambda g: unbroadcast(-g, b.shape)),
+        _binary_bw(a, b, lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(-g, b.shape)),
     )
 
 
 def mul(a, b) -> Tensor:
     a, b = _ensure(a), _ensure(b)
     _check_broadcast(a, b, "mul")
-    return node(
+    return _node(
         a.data * b.data,
         (a, b),
-        _binary_bw(a, b, lambda g: unbroadcast(g * b.data, a.shape),
-                   lambda g: unbroadcast(g * a.data, b.shape)),
+        _binary_bw(a, b, lambda g: _unbroadcast(g * b.data, a.shape),
+                   lambda g: _unbroadcast(g * a.data, b.shape)),
     )
 
 
 def div(a, b) -> Tensor:
     a, b = _ensure(a), _ensure(b)
     _check_broadcast(a, b, "div")
-    return node(
+    return _node(
         a.data / b.data,
         (a, b),
-        _binary_bw(a, b, lambda g: unbroadcast(g / b.data, a.shape),
-                   lambda g: unbroadcast(-g * a.data / (b.data * b.data), b.shape)),
+        _binary_bw(a, b, lambda g: _unbroadcast(g / b.data, a.shape),
+                   lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape)),
     )
 
 
@@ -277,10 +277,10 @@ def maximum(a, b) -> Tensor:
 
     def _bw(g):
         mask = (a.data >= b.data).astype(np.float64)
-        return (unbroadcast(g * mask, a.shape) if a.requires_grad else None,
-                unbroadcast(g * (1.0 - mask), b.shape) if b.requires_grad else None)
+        return (_unbroadcast(g * mask, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * (1.0 - mask), b.shape) if b.requires_grad else None)
 
-    return node(np.maximum(a.data, b.data), (a, b), _bw)
+    return _node(np.maximum(a.data, b.data), (a, b), _bw)
 
 
 # -- elementwise unary ops ----------------------------------------------------
@@ -288,54 +288,54 @@ def maximum(a, b) -> Tensor:
 
 def neg(a) -> Tensor:
     a = _ensure(a)
-    return node(-a.data, (a,), lambda g: (-g,))
+    return _node(-a.data, (a,), lambda g: (-g,))
 
 
 def power(a, p) -> Tensor:
     a = _ensure(a)
     p = float(p)
     out = a.data**p
-    return node(out, (a,), lambda g: (g * p * a.data ** (p - 1.0),))
+    return _node(out, (a,), lambda g: (g * p * a.data ** (p - 1.0),))
 
 
 def exp(a) -> Tensor:
     a = _ensure(a)
     out = np.exp(a.data)
-    return node(out, (a,), lambda g: (g * out,))
+    return _node(out, (a,), lambda g: (g * out,))
 
 
 def log(a) -> Tensor:
     a = _ensure(a)
-    return node(np.log(a.data), (a,), lambda g: (g / a.data,))
+    return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def sqrt(a) -> Tensor:
     a = _ensure(a)
     out = np.sqrt(a.data)
-    return node(out, (a,), lambda g: (g * 0.5 / out,))
+    return _node(out, (a,), lambda g: (g * 0.5 / out,))
 
 
 def tanh(a) -> Tensor:
     a = _ensure(a)
     out = np.tanh(a.data)
-    return node(out, (a,), lambda g: (g * (1.0 - out * out),))
+    return _node(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 def sigmoid(a) -> Tensor:
     a = _ensure(a)
     out = 1.0 / (1.0 + np.exp(-a.data))
-    return node(out, (a,), lambda g: (g * out * (1.0 - out),))
+    return _node(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def silu(a) -> Tensor:
     a = _ensure(a)
     s = 1.0 / (1.0 + np.exp(-a.data))
-    return node(a.data * s, (a,), lambda g: (g * s * (1.0 + a.data * (1.0 - s)),))
+    return _node(a.data * s, (a,), lambda g: (g * s * (1.0 + a.data * (1.0 - s)),))
 
 
 def absolute(a) -> Tensor:
     a = _ensure(a)
-    return node(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
+    return _node(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
 
 
 def xlogx(a, tiny: float = 1e-300) -> Tensor:
@@ -344,7 +344,7 @@ def xlogx(a, tiny: float = 1e-300) -> Tensor:
     pos = a.data > tiny
     logx = np.log(np.where(pos, a.data, 1.0))
     out = np.where(pos, a.data * logx, 0.0)
-    return node(out, (a,), lambda g: (g * np.where(pos, logx + 1.0, 0.0),))
+    return _node(out, (a,), lambda g: (g * np.where(pos, logx + 1.0, 0.0),))
 
 
 # -- shape ops ----------------------------------------------------------------
@@ -353,7 +353,7 @@ def xlogx(a, tiny: float = 1e-300) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = _ensure(a)
     shape = tuple(shape) if not isinstance(shape, int) else (shape,)
-    return node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+    return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
 def transpose(a, axes) -> Tensor:
@@ -363,7 +363,7 @@ def transpose(a, axes) -> Tensor:
     for i, ax in enumerate(axes):
         inv[ax] = i
     inv = tuple(inv)
-    return node(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inv),))
+    return _node(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inv),))
 
 
 def take(a, idx) -> Tensor:
@@ -375,7 +375,7 @@ def take(a, idx) -> Tensor:
         full[idx] += g
         return (full,)
 
-    return node(a.data[idx], (a,), _bw)
+    return _node(a.data[idx], (a,), _bw)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -391,7 +391,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
             grads.append(g[tuple(sl)])
         return tuple(grads)
 
-    return node(np.concatenate([t.data for t in tensors], axis=axis), tensors, _bw)
+    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, _bw)
 
 
 def stack(tensors, axis: int = 0) -> Tensor:
@@ -400,7 +400,7 @@ def stack(tensors, axis: int = 0) -> Tensor:
     def _bw(g):
         return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
 
-    return node(np.stack([t.data for t in tensors], axis=axis), tensors, _bw)
+    return _node(np.stack([t.data for t in tensors], axis=axis), tensors, _bw)
 
 
 # -- reductions ----------------------------------------------------------------
@@ -414,7 +414,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape),)
 
-    return node(a.data.sum(axis=axis, keepdims=keepdims), (a,), _bw)
+    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), _bw)
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -426,7 +426,7 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape) / count,)
 
-    return node(a.data.mean(axis=axis, keepdims=keepdims), (a,), _bw)
+    return _node(a.data.mean(axis=axis, keepdims=keepdims), (a,), _bw)
 
 
 # -- linear algebra -------------------------------------------------------------
@@ -448,18 +448,18 @@ def matmul(a, b) -> Tensor:
         k, n = b.shape
         a2 = a.data.reshape(-1, k)
 
-        return node(
+        return _node(
             (a2 @ b.data).reshape(a.shape[:-1] + (n,)),
             (a, b),
             _binary_bw(a, b, lambda g: (g.reshape(-1, n) @ b.data.T).reshape(a.shape),
                        lambda g: a2.T @ g.reshape(-1, n)),
         )
 
-    return node(
+    return _node(
         a.data @ b.data,
         (a, b),
-        _binary_bw(a, b, lambda g: unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
-                   lambda g: unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)),
+        _binary_bw(a, b, lambda g: _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
+                   lambda g: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)),
     )
 
 
@@ -487,9 +487,9 @@ def linear(x, w, b) -> Tensor:
         g2 = g.reshape(-1, n)
         return ((g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None,
                 x.data.reshape(-1, k).T @ g2 if w.requires_grad else None,
-                unbroadcast(g, b.shape) if b.requires_grad else None)
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
-    return node(out, (x, w, b), _bw)
+    return _node(out, (x, w, b), _bw)
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -503,7 +503,7 @@ def softmax(a, axis: int = -1) -> Tensor:
         inner = (g * out).sum(axis=axis, keepdims=True)
         return (out * (g - inner),)
 
-    return node(out, (a,), _bw)
+    return _node(out, (a,), _bw)
 
 
 # -- Fourier transform ------------------------------------------------------------
@@ -522,7 +522,7 @@ def dft_real(a) -> tuple[Tensor, Tensor]:
         hr, _ = _fft.fft_complex(g[0], -g[1])
         return (hr,)
 
-    stacked = node(np.stack([re, im]), (a,), _bw)
+    stacked = _node(np.stack([re, im]), (a,), _bw)
     return take(stacked, 0), take(stacked, 1)
 
 

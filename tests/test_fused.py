@@ -148,7 +148,7 @@ class TestKnnSparsify:
     @pytest.mark.parametrize("decimals", [1, 0])
     def test_ties_at_the_kth_value(self, decimals):
         # Rounding fills rows with ties; some fit in the room left above the
-        # k-th value and take the cheap path, others need the tie fill.
+        # k-th value, others need the tie fill, which then runs for the call.
         rng = np.random.default_rng(7)
         w = np.round(rng.normal(size=(3, 4, 10, 10)), decimals)
         for k in (2, 4, 7):

@@ -66,7 +66,7 @@ def _unbroadcast_oracle(grad, shape):
 def test_unbroadcast_is_the_adjoint_of_broadcast(shapes, seed):
     shape, out_shape = shapes
     x, g = _arrays(seed, shape, out_shape)
-    back = T.unbroadcast(g, shape)
+    back = T._unbroadcast(g, shape)
     assert back.shape == shape
     assert np.allclose(back, _unbroadcast_oracle(g, shape), rtol=0, atol=1e-12)
     # <broadcast(x), g> == <x, unbroadcast(g)>
