@@ -32,24 +32,17 @@ class AttentionParams:
 
 def split_heads(x: T.Tensor, heads: int) -> T.Tensor:
     """(..., N, D) -> (..., H, N, D/H)."""
-    n, d = x.shape[-2], x.shape[-1]
-    x = x.reshape(x.shape[:-1] + (heads, d // heads))
-    nd = x.ndim
-    axes = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)
-    return T.transpose(x, axes)
+    d = x.shape[-1]
+    return T.swapaxes(x.reshape(x.shape[:-1] + (heads, d // heads)), -3, -2)
 
 
 def merge_heads(x: T.Tensor) -> T.Tensor:
     """(..., H, N, dk) -> (..., N, H*dk)."""
     h, n, dk = x.shape[-3], x.shape[-2], x.shape[-1]
-    nd = x.ndim
-    axes = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)
-    return T.transpose(x, axes).reshape(x.shape[:-3] + (n, h * dk))
+    return T.swapaxes(x, -3, -2).reshape(x.shape[:-3] + (n, h * dk))
 
 
-def temporal_attention(
-    tokens: T.Tensor, params: AttentionParams, return_weights: bool = False
-):
+def temporal_attention(tokens: T.Tensor, params: AttentionParams) -> T.Tensor:
     """Self-attention along the patch axis, independently per variable.
 
     tokens: (..., C, N, D); the variable axis rides along as a batch
@@ -63,11 +56,6 @@ def temporal_attention(
     q = split_heads(T.linear(tokens, params.wq, params.bq), h)
     k = split_heads(T.linear(tokens, params.wk, params.bk), h)
     v = split_heads(T.linear(tokens, params.wv, params.bv), h)
-    kt = T.transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
-    scores = T.matmul(q, kt) * (1.0 / np.sqrt(dk))
+    scores = T.matmul(q, T.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(dk))
     attn = T.softmax(scores, axis=-1)
-    out = merge_heads(T.matmul(attn, v))
-    out = T.linear(out, params.wo, params.bo)
-    if return_weights:
-        return out, attn.data
-    return out
+    return T.linear(merge_heads(T.matmul(attn, v)), params.wo, params.bo)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -24,29 +25,29 @@ from .spectral import SyntheticSpec, acf_entropy_study, autocorrelation, spectra
 from .training import TrainConfig, evaluate, train
 
 
+def _numbers(text: str, kind, sep: str = ",") -> list:
+    """The values in ``text`` between ``sep``; one that ``kind`` cannot read is an InputError."""
+    try:
+        return [kind(p) for p in text.split(sep) if p.strip()]
+    except ValueError:
+        raise InputError(f"expected {kind.__name__} values, got {text!r}") from None
+
+
 def _parse_grid(text: str) -> list[float]:
     """Either 'start:stop:step' (inclusive) or a comma list like '0,0.5,1'."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise InputError(f"grid must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise InputError(f"grid step must be > 0, got {step}")
-        out = []
-        k = 0
-        while True:
-            v = start + k * step
-            if v > stop + step * 1e-9:
-                break
-            out.append(round(v, 12))
-            k += 1
-        return out
-    return [float(p) for p in text.split(",") if p.strip()]
-
-
-def _parse_periods(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(",") if p.strip())
+    ranged = ":" in text
+    values = _numbers(text, float, ":" if ranged else ",")
+    if not np.isfinite(values).all():
+        raise InputError(f"grid values must be finite, got {text!r}")
+    if not ranged:
+        return values
+    if len(values) != 3:
+        raise InputError(f"grid must be start:stop:step, got {text!r}")
+    start, stop, step = values
+    if step <= 0:
+        raise InputError(f"grid step must be > 0, got {step}")
+    steps = (start + k * step for k in itertools.count())
+    return [round(v, 12) for v in itertools.takewhile(lambda v: v <= stop + step * 1e-9, steps)]
 
 
 def _registry_with_overrides(args) -> dict:
@@ -241,7 +242,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_synth(args) -> int:
     ds = D.synthetic_mixture(n_sine=args.sine, n_noise=args.noise,
-                             length=args.length, periods=_parse_periods(args.periods),
+                             length=args.length, periods=tuple(_numbers(args.periods, int)),
                              seed=args.seed)
     D.write_csv(args.out_csv, ds.values, ds.columns)
     print(f"wrote {len(ds)} rows x {ds.n_vars} vars to {args.out_csv}")

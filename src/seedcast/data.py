@@ -291,8 +291,16 @@ def make_splits(dataset: Dataset, lookback: int, horizon: int, ratio=None,
 def synthetic_mixture(n_sine: int = 4, n_noise: int = 4, length: int = 4000,
                       periods=(24, 36, 48, 96), seed: int = 0) -> Dataset:
     """Half clean sinusoids at distinct periods, half standard normal noise."""
-    if n_sine > 0 and len(periods) < n_sine:
+    if n_sine < 0 or n_noise < 0:
+        raise InputError(f"sine and noise counts must be >= 0, got {n_sine} and {n_noise}")
+    if n_sine + n_noise == 0:
+        raise InputError("a mixture needs at least one sine or noise column")
+    if length < 1:
+        raise InputError(f"length must be >= 1, got {length}")
+    if len(periods) < n_sine:
         raise InputError(f"need {n_sine} periods, got {len(periods)}")
+    if any(p <= 0 for p in periods[:n_sine]):
+        raise InputError(f"sine periods must be > 0, got {tuple(periods[:n_sine])}")
     rng = RngState(seed)
     t = np.arange(length)
     cols = [np.sin(2 * np.pi * t / periods[i]) for i in range(n_sine)]

@@ -20,15 +20,6 @@ class NormStats:
     std: np.ndarray   # (..., C, 1), floored at STD_FLOOR
 
 
-@dataclass
-class PatchTokens:
-    """Embedded patch representations: values is a (..., C, N, D) tensor."""
-
-    values: T.Tensor
-    patch_len: int
-    n_patches: int
-
-
 def instance_normalize(window: np.ndarray) -> tuple[np.ndarray, NormStats]:
     """Z-score each variable over its lookback; stats returned for inversion.
 
@@ -75,8 +66,8 @@ class EmbedParams:
     pe: np.ndarray    # (N, D), fixed
 
 
-def patch_and_embed(window: np.ndarray, params: EmbedParams) -> PatchTokens:
-    """Patch the window, map each patch to D dims, add positional encoding."""
+def patch_and_embed(window: np.ndarray, params: EmbedParams) -> T.Tensor:
+    """Patch the window, map each patch to D dims, add positional encoding: (..., C, N, D)."""
     patch_len = params.weight.shape[0]
     patches = split_patches(window, patch_len)
     n = patches.shape[-2]
@@ -84,8 +75,7 @@ def patch_and_embed(window: np.ndarray, params: EmbedParams) -> PatchTokens:
         raise ShapeError(
             f"positional encoding covers {params.pe.shape[0]} patches, window yields {n}"
         )
-    tokens = T.linear(T.Tensor(patches), params.weight, params.bias) + T.Tensor(params.pe)
-    return PatchTokens(tokens, patch_len, n)
+    return T.linear(T.Tensor(patches), params.weight, params.bias) + T.Tensor(params.pe)
 
 
 @dataclass

@@ -50,10 +50,7 @@ def make_windows(tokens: T.Tensor) -> T.Tensor:
         raise ConfigError(f"need at least 2 patches for local windows, got {n}")
     prev = tokens[..., :, : n - 1, :]
     nxt = tokens[..., :, 1:, :]
-    paired = T.stack([prev, nxt], axis=-2)  # (..., C, K, 2, D)
-    nd = paired.ndim
-    axes = tuple(range(nd - 4)) + (nd - 3, nd - 4, nd - 2, nd - 1)
-    paired = T.transpose(paired, axes)  # (..., K, C, 2, D)
+    paired = T.swapaxes(T.stack([prev, nxt], axis=-2), -4, -3)  # (..., K, C, 2, D)
     return paired.reshape(paired.shape[:-3] + (2 * c, d))
 
 
@@ -72,8 +69,7 @@ def signed_distance(window: T.Tensor, params: DistanceParams, heads: int) -> T.T
             f"distance form is {params.q.shape}, expected trailing ({d_h}, {d_h})"
         )
     xh = split_heads(window[..., : heads * d_h], heads)  # (..., H, n, d_h)
-    xht = T.transpose(xh, tuple(range(xh.ndim - 2)) + (xh.ndim - 1, xh.ndim - 2))
-    return T.matmul(T.matmul(xh, params.q), xht)
+    return T.matmul(T.matmul(xh, params.q), T.swapaxes(xh, -1, -2))
 
 
 def sign_softmax_graph(scores: T.Tensor) -> SignedGraph:
@@ -174,16 +170,11 @@ def pool_windows(gcn_out: T.Tensor, mode: str = "mean") -> T.Tensor:
     slot1 = e[..., :, :, 1, :]  # view of patches 1..N-1
     first = slot0[..., :1, :, :]
     last = slot1[..., k2 - 1 : k2, :, :]
-    if k2 > 1:
-        a = slot1[..., : k2 - 1, :, :]
-        b = slot0[..., 1:, :, :]
-        mid = (a + b) * 0.5 if mode == "mean" else T.maximum(a, b)
-        stacked = T.concat([first, mid, last], axis=-3)  # (..., N, C, D)
-    else:
-        stacked = T.concat([first, last], axis=-3)
-    nd = stacked.ndim
-    axes = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)
-    return T.transpose(stacked, axes)  # (..., C, N, D)
+    a = slot1[..., : k2 - 1, :, :]  # patches 1..N-2 sit in two windows each;
+    b = slot0[..., 1:, :, :]  # with a single window (N = 2) both are empty
+    mid = (a + b) * 0.5 if mode == "mean" else T.maximum(a, b)
+    stacked = T.concat([first, mid, last], axis=-3)  # (..., N, C, D)
+    return T.swapaxes(stacked, -3, -2)  # (..., C, N, D)
 
 
 @dataclass
@@ -202,38 +193,32 @@ class SpatialParams:
         return self.distance.params() + self.gcn.params()
 
 
-def _graph_for(scores: T.Tensor, p: SpatialParams, force_full: bool = False) -> SignedGraph:
-    g = GRAPH_BUILDERS[p.graph_variant](scores)
-    n = scores.shape[-1]
-    k = n if force_full else (p.knn_k if p.knn_k is not None else default_knn_k(n))
-    return knn_sparsify(g, k)
-
-
 def context_spatial_extract(tokens: T.Tensor, p: SpatialParams) -> T.Tensor:
-    """Full spatial pathway: windows -> signed graph -> KNN -> GCN -> pooling.
+    """Full spatial pathway: node layout -> signed graph -> KNN -> GCN -> layout undone.
 
-    mode "local" uses 2-patch windows with overlap pooling; "same_step"
-    restricts each window to one patch (no temporal context); "global"
-    connects all C*N patches in a single fully-retained window.
+    mode "local" lays out 2-patch windows and pools their overlap back;
+    "same_step" makes one window per patch over the C variables (no temporal
+    context); "global" connects all C*N patches in a single window that keeps
+    every edge.
     """
-    c, n, d = tokens.shape[-3], tokens.shape[-2], tokens.shape[-1]
     if p.mode == "local":
-        windows = make_windows(tokens)  # (..., K, 2C, D)
-        scores = signed_distance(windows, p.distance, p.heads)
-        graph = _graph_for(scores, p)
-        return pool_windows(gcn(windows, graph, p.gcn), p.pool)
-    if p.mode == "same_step":
-        nd = tokens.ndim
-        axes = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)
-        nodes = T.transpose(tokens, axes)  # (..., N, C, D)
-        scores = signed_distance(nodes, p.distance, p.heads)
-        graph = _graph_for(scores, p)
-        out = gcn(nodes, graph, p.gcn)
-        return T.transpose(out, axes)
+        nodes = make_windows(tokens)  # (..., N-1, 2C, D)
+    elif p.mode == "same_step":
+        nodes = T.swapaxes(tokens, -3, -2)  # (..., N, C, D)
+    elif p.mode == "global":
+        nodes = tokens.reshape(tokens.shape[:-3] + (-1, tokens.shape[-1]))  # (..., C*N, D)
+    else:
+        raise ConfigError(f"unknown spatial mode {p.mode!r}")
+    m = nodes.shape[-2]  # graph nodes per window
     if p.mode == "global":
-        nodes = tokens.reshape(tokens.shape[:-3] + (c * n, d))
-        scores = signed_distance(nodes, p.distance, p.heads)
-        graph = _graph_for(scores, p, force_full=True)
-        out = gcn(nodes, graph, p.gcn)
-        return out.reshape(tokens.shape)
-    raise ConfigError(f"unknown spatial mode {p.mode!r}")
+        k = m  # every edge kept
+    else:
+        k = p.knn_k if p.knn_k is not None else default_knn_k(m)
+    scores = signed_distance(nodes, p.distance, p.heads)
+    graph = knn_sparsify(GRAPH_BUILDERS[p.graph_variant](scores), k)
+    out = gcn(nodes, graph, p.gcn)
+    if p.mode == "local":
+        return pool_windows(out, p.pool)
+    if p.mode == "same_step":
+        return T.swapaxes(out, -3, -2)
+    return out.reshape(tokens.shape)

@@ -93,8 +93,8 @@ class ModelConfig:
             raise ConfigError(
                 f"gcn_heads ({self.gcn_heads}) must divide d_model ({self.d_model})"
             )
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
+        if not np.isfinite(self.lam) or self.lam < 0:
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.graph_variant not in ("tanh", "softmax"):
             raise ConfigError(f"graph_variant must be tanh or softmax, got {self.graph_variant!r}")
         if self.pool not in ("mean", "max"):
@@ -331,7 +331,7 @@ class SeedModel:
 
     # -- forward ----------------------------------------------------------------
 
-    def forward(self, window, force_fusion_weight: float | None = None) -> T.Tensor:
+    def forward(self, window) -> T.Tensor:
         """Forecast (C, T) from a (C, L) window; batched (B, C, L) works too.
 
         Without a tape the batch runs in blocks of ``block_windows`` windows;
@@ -339,12 +339,12 @@ class SeedModel:
         """
         x, single = self._as_batch(window)
         if T.grad_enabled():
-            out = self._forward_block(x, force_fusion_weight)
+            out = self._forward_block(x)
         else:
             step = self.block_windows(x.shape[1])
             # max(.., 1): an empty batch still runs once and keeps its (0, C, T) shape.
             out = T.Tensor(np.concatenate([
-                self._forward_block(x[i : i + step], force_fusion_weight).data
+                self._forward_block(x[i : i + step]).data
                 for i in range(0, max(len(x), 1), step)
             ]))
         return out[0] if single else out
@@ -384,7 +384,7 @@ class SeedModel:
             raise InputError("window holds non-finite values")
         return x, single
 
-    def _forward_block(self, x: np.ndarray, force_fusion_weight) -> T.Tensor:
+    def _forward_block(self, x: np.ndarray) -> T.Tensor:
         """The whole pipeline on a checked (B, C, L) batch: (B, C, T)."""
         xn, stats = instance_normalize(x)
         ent = None  # read only by the fusions in _ENTROPY_FUSIONS
@@ -392,9 +392,9 @@ class SeedModel:
             # Without a filter the entropy is a constant of the step: build no tape for it.
             with T.no_grad() if self.filter is None else contextlib.nullcontext():
                 ent = entropy_tensor(T.Tensor(xn), self.filter, degenerate="zero")  # (B, C)
-        tokens = patch_and_embed(xn, self.embed).values  # (B, C, N, D)
+        tokens = patch_and_embed(xn, self.embed)  # (B, C, N, D)
         for lp in self.layers:
-            tokens = self._encoder_layer(tokens, ent, lp, force_fusion_weight)
+            tokens = self._encoder_layer(tokens, ent, lp)
         return project_output(tokens, self.head, stats)
 
     def entropy_of(self, window) -> np.ndarray:
@@ -405,14 +405,10 @@ class SeedModel:
             ent = entropy_tensor(T.Tensor(xn), self.filter, degenerate="zero").data
         return ent[0] if single else ent
 
-    def _encoder_layer(self, x, ent, lp: LayerParams, force_w):
+    def _encoder_layer(self, x, ent, lp: LayerParams):
         t_feat = temporal_attention(x, lp.attn) if lp.attn is not None else None
         e_feat = context_spatial_extract(x, lp.spatial) if lp.spatial is not None else None
-        if force_w is None:
-            f = _FUSIONS[self.wiring["fusion"]](t_feat, e_feat, ent, lp)
-        else:
-            f = blend(t_feat, e_feat, T.Tensor(np.full(x.shape[:-1], force_w)))
-
+        f = _FUSIONS[self.wiring["fusion"]](t_feat, e_feat, ent, lp)
         h = layer_norm(x + f, lp.ln1_g, lp.ln1_b)
         ff = T.linear(T.silu(T.linear(h, lp.ff_w1, lp.ff_b1)), lp.ff_w2, lp.ff_b2)
         return layer_norm(h + ff, lp.ln2_g, lp.ln2_b)

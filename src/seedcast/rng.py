@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
+
 
 class RngState:
     """Deterministic RNG: identical seed => identical draw sequence.
@@ -19,20 +21,15 @@ class RngState:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def normal(self, shape, scale: float = 1.0) -> np.ndarray:
         return self._gen.normal(0.0, scale, size=shape)
-
-    def uniform(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        return self._gen.uniform(low, high, size=shape)
 
     def integers(self, low: int, high: int, shape=None) -> np.ndarray:
         return self._gen.integers(low, high, size=shape)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def spawn(self, offset: int) -> "RngState":
-        """Independent child stream; deterministic in (seed, offset)."""
-        return RngState(self.seed * 1_000_003 + offset)

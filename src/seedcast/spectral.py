@@ -185,6 +185,8 @@ def acf_entropy_study(
     alphas = list(alphas)
     if not alphas:
         raise InputError("alpha grid is empty")
+    if n_seeds < 1:
+        raise InputError(f"n_seeds must be >= 1, got {n_seeds}")
     max_lag = spec.length // 2
     rows = []
     for alpha in alphas:

@@ -157,9 +157,6 @@ class Tensor:
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) != 1 or isinstance(shape[0], int) else shape[0])
 
-    def transpose(self, axes):
-        return transpose(self, axes)
-
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis, keepdims)
 
@@ -333,11 +330,6 @@ def silu(a) -> Tensor:
     return _node(a.data * s, (a,), lambda g: (g * s * (1.0 + a.data * (1.0 - s)),))
 
 
-def absolute(a) -> Tensor:
-    a = _ensure(a)
-    return _node(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
-
-
 def xlogx(a, tiny: float = 1e-300) -> Tensor:
     """x*log(x) with the 0*log(0) -> 0 limit; gradient clamped to 0 there."""
     a = _ensure(a)
@@ -356,14 +348,10 @@ def reshape(a, shape) -> Tensor:
     return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
-def transpose(a, axes) -> Tensor:
+def swapaxes(a, i: int, j: int) -> Tensor:
+    """Swap axes ``i`` and ``j``; the backward swaps them back."""
     a = _ensure(a)
-    axes = tuple(axes)
-    inv = [0] * len(axes)
-    for i, ax in enumerate(axes):
-        inv[ax] = i
-    inv = tuple(inv)
-    return _node(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inv),))
+    return _node(np.swapaxes(a.data, i, j), (a,), lambda g: (np.swapaxes(g, i, j),))
 
 
 def take(a, idx) -> Tensor:

@@ -114,10 +114,10 @@ class TrainConfig:
         for name in ("batch_size", "patience"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.lam is not None and self.lam < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
+        if not np.isfinite(self.learning_rate) or self.learning_rate <= 0:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.lam is not None and (not np.isfinite(self.lam) or self.lam < 0):
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
 
     def to_dict(self) -> dict:
         return config_dict(self)

@@ -24,9 +24,14 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     return xc / T.sqrt(var + eps) * gamma + beta
 
 
+def absolute(a):
+    """|a| as one tape node, a step of the tanh-L1 chain below."""
+    return T._node(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
+
+
 def tanh_l1_graph(scores):
     th = T.tanh(scores)
-    denom = T.absolute(th).sum(axis=-1, keepdims=True)
+    denom = absolute(th).sum(axis=-1, keepdims=True)
     guard = (denom.data == 0.0).astype(np.float64)
     return G.SignedGraph(th / (denom + T.Tensor(guard)))
 

@@ -177,7 +177,7 @@ def test_criterion_5_gradient_suite():
                                  detach_entropy=False)
             model = sc.SeedModel(cfg)
             xn, _ = instance_normalize(w[None])
-            toks = patch_and_embed(xn, model.embed).values
+            toks = patch_and_embed(xn, model.embed)
             scores = G.signed_distance(G.make_windows(toks),
                                        model.layers[0].spatial.distance, 2)
             assert np.abs(scores.data).min() > 0.1  # away from sign kinks

@@ -20,12 +20,28 @@ def make_params(d_model, heads, rng=None, scale=None):
                              bq=b(), bk=b(), bv=b(), bo=b(), heads=heads)
 
 
+@pytest.fixture
+def softmax_outputs(monkeypatch):
+    """The output of every ``T.softmax`` call: in attention, its weights."""
+    seen = []
+    softmax = T.softmax
+
+    def spy(a, axis=-1):
+        out = softmax(a, axis)
+        seen.append(out.data)
+        return out
+
+    monkeypatch.setattr(T, "softmax", spy)
+    return seen
+
+
 class TestTemporalAttention:
-    def test_single_patch_weight_is_one(self):
+    def test_single_patch_weight_is_one(self, softmax_outputs):
         params = make_params(4, 2)
         tokens = T.Tensor(np.random.default_rng(1).normal(size=(3, 1, 4)))
-        out, weights = A.temporal_attention(tokens, params, return_weights=True)
-        assert np.allclose(weights, 1.0)
+        out = A.temporal_attention(tokens, params)
+        [weights] = softmax_outputs
+        assert weights.shape == (3, 2, 1, 1) and np.allclose(weights, 1.0)
         # output equals the V projection of the single token through W_O
         v = tokens.data @ params.wv.data
         expected = v @ params.wo.data
@@ -72,10 +88,12 @@ class TestTemporalAttention:
                 if i != j:
                     assert np.array_equal(out[i], out_base[i])
 
-    def test_attention_rows_sum_to_one(self):
+    def test_attention_rows_sum_to_one(self, softmax_outputs):
         params = make_params(8, 4)
         tokens = T.Tensor(np.random.default_rng(4).normal(size=(3, 7, 8)))
-        _, weights = A.temporal_attention(tokens, params, return_weights=True)
+        A.temporal_attention(tokens, params)
+        [weights] = softmax_outputs
+        assert weights.shape == (3, 4, 7, 7)
         assert np.abs(weights.sum(axis=-1) - 1.0).max() < 1e-12
 
     def test_variable_permutation_equivariance(self):

@@ -35,6 +35,46 @@ class TestSynth:
         assert ds.values.shape == (100, 3)
 
 
+class TestBadInput:
+    """A bad value on the command line ends as ``error: ...`` with exit code 1."""
+
+    CASES = {
+        "alphas_list": ["analyze", "--synthetic", "--alphas", "0,x"],
+        "alphas_range": ["analyze", "--synthetic", "--alphas", "0:1:y"],
+        "alphas_unbounded": ["analyze", "--synthetic", "--alphas", "0:inf:1"],
+        "zero_seeds": ["analyze", "--synthetic", "--seeds", "0"],
+        "analyze_negative_seed": ["analyze", "--synthetic", "--seed", "-1"],
+        "periods": ["synth", "--periods", "24,x"],
+        "zero_period": ["synth", "--periods", "0,36,48,96"],
+        "no_columns": ["synth", "--sine", "0", "--noise", "0"],
+        "negative_sine": ["synth", "--sine", "-1"],
+        "negative_noise": ["synth", "--noise", "-1"],
+        "zero_length": ["synth", "--length", "0"],
+        "synth_negative_seed": ["synth", "--seed", "-1"],
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_fails_cleanly(self, name, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code = run(self.CASES[name] + ["--out-csv", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert not out.exists() and not captured.out
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--seed", "-1", "seed"), ("--lambda", "nan", "lambda"), ("--lr", "nan", "learning_rate"),
+    ])
+    def test_train_rejects_before_training(self, tiny_csv, tmp_path, capsys, flag, value, named):
+        out = tmp_path / "run"
+        code = run(["train", "--data", tiny_csv, "--split", "6:2:2", "--out", str(out)]
+                   + TINY + [flag, value])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and named in err and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestTrain:
     def test_writes_metrics_manifest_checkpoint(self, tiny_csv, tmp_path):
         out = str(tmp_path / "run")

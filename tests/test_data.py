@@ -379,3 +379,11 @@ class TestSyntheticMixture:
         a = D.synthetic_mixture(length=300, seed=5).values
         b = D.synthetic_mixture(length=300, seed=5).values
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(n_sine=0, n_noise=0), dict(n_sine=-1), dict(n_noise=-1), dict(length=0),
+        dict(periods=(0, 36, 48, 96)), dict(seed=-1),
+    ])
+    def test_bad_arguments_are_input_errors(self, kwargs):
+        with pytest.raises(InputError):
+            D.synthetic_mixture(**{"length": 50, **kwargs})

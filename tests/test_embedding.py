@@ -52,8 +52,7 @@ class TestInstanceNormalize:
 class TestPatching:
     def test_exact_division(self):
         tokens = E.patch_and_embed(np.zeros((7, 96)), make_params(16, 8, 6))
-        assert tokens.n_patches == 6
-        assert tokens.values.shape == (7, 6, 8)
+        assert tokens.shape == (7, 6, 8)
 
     def test_ragged_tail_zero_padded(self):
         patches = E.split_patches(np.arange(96.0)[None], 20)
@@ -69,11 +68,11 @@ class TestPatching:
         params = make_params(4, 6, 3)
         tokens = E.patch_and_embed(np.zeros((2, 12)), params)
         for c in range(2):
-            assert np.allclose(tokens.values.data[c], params.pe, atol=1e-15)
+            assert np.allclose(tokens.data[c], params.pe, atol=1e-15)
 
     def test_positional_encoding_distinguishes_positions(self):
         params = make_params(4, 6, 5)
-        tokens = E.patch_and_embed(np.ones((1, 20)), params).values.data[0]
+        tokens = E.patch_and_embed(np.ones((1, 20)), params).data[0]
         for i in range(5):
             for j in range(i + 1, 5):
                 assert not np.allclose(tokens[i], tokens[j])
@@ -82,7 +81,7 @@ class TestPatching:
         rng = np.random.default_rng(4)
         params = make_params(4, 12, 4, rng)  # D >= P: full column rank
         window = rng.normal(size=(3, 16))
-        tokens = E.patch_and_embed(window, params).values.data
+        tokens = E.patch_and_embed(window, params).data
         recovered = (tokens - params.pe) @ np.linalg.pinv(params.weight.data)
         assert np.abs(recovered - E.split_patches(window, 4)).max() < 1e-6
 

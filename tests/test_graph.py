@@ -375,12 +375,32 @@ class TestContextSpatialExtract:
         out = G.context_spatial_extract(T.Tensor(rng.normal(size=(4, 3, 8))), p)
         assert out.shape == (4, 3, 8)
 
+    def test_same_step_matches_manual_composition(self):
+        # k < C prunes edges, and a leading batch axis rides along.
+        rng = np.random.default_rng(31)
+        b, c, n, d, h, k = 2, 5, 3, 8, 2, 2
+        tokens = T.Tensor(rng.normal(size=(b, c, n, d)))
+        p = spatial_params(d, h, rng, knn_k=k, mode="same_step")
+        out = G.context_spatial_extract(tokens, p).data
+
+        nodes = T.Tensor(np.swapaxes(tokens.data, -3, -2))  # (B, N, C, D)
+        graph = G.knn_sparsify(G.tanh_l1_graph(G.signed_distance(nodes, p.distance, h)), k)
+        assert graph.mask.sum(axis=-1).max() == k < c
+        ref = np.swapaxes(G.gcn(nodes, graph, p.gcn).data, -3, -2)
+        assert out.shape == (b, c, n, d) and np.array_equal(out, ref)
+
+    def test_unknown_mode_raises(self):
+        rng = np.random.default_rng(32)
+        p = spatial_params(8, 2, rng, mode="diagonal")
+        with pytest.raises(ConfigError, match="diagonal"):
+            G.context_spatial_extract(T.Tensor(rng.normal(size=(3, 4, 8))), p)
+
     def test_same_step_window_and_node_counts(self):
         # One window per patch, each over the C variables at that step.
         rng = np.random.default_rng(30)
         c, n, d = 4, 3, 8
         tokens = T.Tensor(rng.normal(size=(c, n, d)))
-        nodes = T.transpose(tokens, (1, 0, 2))
+        nodes = T.swapaxes(tokens, 0, 1)
         scores = G.signed_distance(nodes, G.DistanceParams(T.Tensor(np.eye(4))), heads=2)
         assert scores.shape == (n, 2, c, c)
 

