@@ -201,19 +201,19 @@ def context_spatial_extract(tokens: T.Tensor, p: SpatialParams) -> T.Tensor:
     context); "global" connects all C*N patches in a single window that keeps
     every edge.
     """
+    c, n, d = tokens.shape[-3], tokens.shape[-2], tokens.shape[-1]
+    k = p.knn_k
     if p.mode == "local":
         nodes = make_windows(tokens)  # (..., N-1, 2C, D)
     elif p.mode == "same_step":
         nodes = T.swapaxes(tokens, -3, -2)  # (..., N, C, D)
     elif p.mode == "global":
-        nodes = tokens.reshape(tokens.shape[:-3] + (-1, tokens.shape[-1]))  # (..., C*N, D)
+        nodes = tokens.reshape(tokens.shape[:-3] + (c * n, d))  # (..., C*N, D)
+        k = c * n  # every edge kept
     else:
         raise ConfigError(f"unknown spatial mode {p.mode!r}")
-    m = nodes.shape[-2]  # graph nodes per window
-    if p.mode == "global":
-        k = m  # every edge kept
-    else:
-        k = p.knn_k if p.knn_k is not None else default_knn_k(m)
+    if k is None:
+        k = default_knn_k(nodes.shape[-2])
     scores = signed_distance(nodes, p.distance, p.heads)
     graph = knn_sparsify(GRAPH_BUILDERS[p.graph_variant](scores), k)
     out = gcn(nodes, graph, p.gcn)

@@ -218,6 +218,12 @@ class TestBlockedForward:
             for i, w in enumerate(batch):
                 assert np.abs(out[i] - model.forward(w).data).max() <= 1e-12
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_empty_batch_keeps_its_shape(self, variant):
+        model = SeedModel(micro_config(variant=variant))
+        with T.no_grad():
+            assert model.forward(np.zeros((0, 2, 8))).shape == (0, 2, 4)
+
     def test_taped_forward_is_one_block(self, monkeypatch):
         model = _default_model()
         calls = []
