@@ -89,10 +89,8 @@ def _model_config(args, n_vars: int) -> ModelConfig:
         horizon=args.horizon,
         patch_len=args.patch_len,
         d_model=args.d_model,
-        attn_heads=args.heads,
-        gcn_heads=args.heads,
+        heads=args.heads,
         knn_k=args.knn_k,
-        graph_variant=args.graph,
         pool=args.pool,
         lam=args.lam,
         n_layers=args.layers,
@@ -269,7 +267,6 @@ def _add_model_flags(p: argparse.ArgumentParser):
                    help="attention and graph heads")
     p.add_argument("--knn-k", type=int, default=None,
                    help="edges kept per node (default: half the nodes)")
-    p.add_argument("--graph", choices=("tanh", "softmax"), default="tanh")
     p.add_argument("--pool", choices=("mean", "max"), default="mean")
     p.add_argument("--variant", choices=VARIANTS, default="full")
     p.add_argument("--lambda", dest="lam", type=float, default=0.1,

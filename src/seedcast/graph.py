@@ -26,18 +26,9 @@ class SignedGraph:
     mask: np.ndarray | None = None  # bool retention mask once KNN-sparsified
 
 
-@dataclass
-class DistanceParams:
-    """Learnable bilinear form over head-split features, shared across heads."""
-
-    q: T.Tensor  # (d_h, d_h)
-
-    def params(self) -> list[T.Tensor]:
-        return [self.q]
-
-
 def default_knn_k(n: int) -> int:
-    return max(2, -(-n // 2))
+    """Edges kept per node without ``knn_k``: half of n rounded up, at least 2, at most n."""
+    return min(n, max(2, -(-n // 2)))
 
 
 def make_windows(tokens: T.Tensor) -> T.Tensor:
@@ -54,22 +45,21 @@ def make_windows(tokens: T.Tensor) -> T.Tensor:
     return paired.reshape(paired.shape[:-3] + (2 * c, d))
 
 
-def signed_distance(window: T.Tensor, params: DistanceParams, heads: int) -> T.Tensor:
+def signed_distance(window: T.Tensor, q: T.Tensor, heads: int) -> T.Tensor:
     """Bilinear scores s_ij = x_i Q x_j^T per head: (..., n, D) -> (..., H, n, n).
 
-    Q is unconstrained, so the scores (and the graph) are generally
-    asymmetric. Head width is floor(D/heads); spare features are ignored.
+    The (d_h, d_h) form Q is shared across heads and unconstrained, so the
+    scores (and the graph) are generally asymmetric. Head width is
+    floor(D/heads); spare features are ignored.
     """
     d = window.shape[-1]
     if heads > d:
         raise ConfigError(f"gcn heads ({heads}) exceed feature width ({d})")
     d_h = d // heads
-    if params.q.shape[-1] != d_h or params.q.shape[-2] != d_h:
-        raise ShapeError(
-            f"distance form is {params.q.shape}, expected trailing ({d_h}, {d_h})"
-        )
+    if q.shape[-1] != d_h or q.shape[-2] != d_h:
+        raise ShapeError(f"distance form is {q.shape}, expected trailing ({d_h}, {d_h})")
     xh = split_heads(window[..., : heads * d_h], heads)  # (..., H, n, d_h)
-    return T.matmul(T.matmul(xh, params.q), T.swapaxes(xh, -1, -2))
+    return T.matmul(T.matmul(xh, q), T.swapaxes(xh, -1, -2))
 
 
 def sign_softmax_graph(scores: T.Tensor) -> SignedGraph:
@@ -141,23 +131,18 @@ def knn_sparsify(graph: SignedGraph, k: int) -> SignedGraph:
     return SignedGraph(T._node(w.data * mask, (w,), lambda g: (g * mask,)), mask)
 
 
-@dataclass
-class GcnParams:
-    weight: T.Tensor  # (H, d_h, d_h) per-head transforms
+def gcn(window: T.Tensor, graph: SignedGraph, weight: T.Tensor) -> T.Tensor:
+    """One signed graph convolution with residual: x + silu(G @ x_h @ W_h) per head.
 
-    def params(self) -> list[T.Tensor]:
-        return [self.weight]
-
-
-def gcn(window: T.Tensor, graph: SignedGraph, params: GcnParams) -> T.Tensor:
-    """One signed graph convolution with residual: x + silu(G @ x_h @ W_h) per head."""
+    ``weight`` holds the (H, d_h, d_h) per-head transforms W_h.
+    """
     d = window.shape[-1]
     heads = graph.weights.shape[-3]
     if d % heads != 0:
         raise ConfigError(f"gcn heads ({heads}) must divide feature width ({d})")
     xh = split_heads(window, heads)  # (..., H, n, d_h)
     agg = T.matmul(graph.weights, xh)
-    out = merge_heads(T.silu(T.matmul(agg, params.weight)))
+    out = merge_heads(T.silu(T.matmul(agg, weight)))
     return window + out
 
 
@@ -177,46 +162,54 @@ def pool_windows(gcn_out: T.Tensor, mode: str = "mean") -> T.Tensor:
     return T.swapaxes(stacked, -3, -2)  # (..., C, N, D)
 
 
+def node_layout(mode: str, c: int, n: int) -> tuple[int, int]:
+    """(graphs, nodes per graph) that spatial ``mode`` lays C variables x N patches out as.
+
+    "local": one window per adjacent patch pair, over both patches of every
+    variable; "same_step": one window per patch over the C variables (no
+    temporal context); "global": one window over all C*N patches.
+    """
+    layouts = {"local": (n - 1, 2 * c), "same_step": (n, c), "global": (1, c * n)}
+    if mode not in layouts:
+        raise ConfigError(f"unknown spatial mode {mode!r}")
+    return layouts[mode]
+
+
 @dataclass
 class SpatialParams:
     """Everything the context extractor needs besides the tokens."""
 
-    distance: DistanceParams
-    gcn: GcnParams
+    q: T.Tensor  # (d_h, d_h) bilinear distance form
+    gcn_weight: T.Tensor  # (H, d_h, d_h) per-head GCN transforms
     heads: int
-    graph_variant: str = "tanh"
+    graph_variant: str = "tanh"  # a GRAPH_BUILDERS key
     knn_k: int | None = None
     pool: str = "mean"
-    mode: str = "local"  # local | same_step | global
+    mode: str = "local"  # a node_layout mode
 
     def params(self) -> list[T.Tensor]:
-        return self.distance.params() + self.gcn.params()
+        return [self.q, self.gcn_weight]
 
 
 def context_spatial_extract(tokens: T.Tensor, p: SpatialParams) -> T.Tensor:
     """Full spatial pathway: node layout -> signed graph -> KNN -> GCN -> layout undone.
 
-    mode "local" lays out 2-patch windows and pools their overlap back;
-    "same_step" makes one window per patch over the C variables (no temporal
-    context); "global" connects all C*N patches in a single window that keeps
-    every edge.
+    "local" pools the overlapping windows back onto the patch grid; "global"
+    keeps every edge of its single window.
     """
     c, n, d = tokens.shape[-3], tokens.shape[-2], tokens.shape[-1]
-    k = p.knn_k
+    graphs, n_nodes = node_layout(p.mode, c, n)
+    k = p.knn_k if p.knn_k is not None else default_knn_k(n_nodes)
     if p.mode == "local":
         nodes = make_windows(tokens)  # (..., N-1, 2C, D)
     elif p.mode == "same_step":
         nodes = T.swapaxes(tokens, -3, -2)  # (..., N, C, D)
-    elif p.mode == "global":
-        nodes = tokens.reshape(tokens.shape[:-3] + (c * n, d))  # (..., C*N, D)
-        k = c * n  # every edge kept
     else:
-        raise ConfigError(f"unknown spatial mode {p.mode!r}")
-    if k is None:
-        k = default_knn_k(nodes.shape[-2])
-    scores = signed_distance(nodes, p.distance, p.heads)
+        nodes = tokens.reshape(tokens.shape[:-3] + (graphs, n_nodes, d))  # (..., 1, C*N, D)
+        k = n_nodes  # every edge kept
+    scores = signed_distance(nodes, p.q, p.heads)
     graph = knn_sparsify(GRAPH_BUILDERS[p.graph_variant](scores), k)
-    out = gcn(nodes, graph, p.gcn)
+    out = gcn(nodes, graph, p.gcn_weight)
     if p.mode == "local":
         return pool_windows(out, p.pool)
     if p.mode == "same_step":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import numbers
 import os
 import zipfile
 from dataclasses import dataclass, fields
@@ -30,7 +31,7 @@ from .embedding import (
 )
 from .errors import ConfigError, InputError
 from .fuser import blend, fuse, fusion_weights, patch_similarity
-from .graph import DistanceParams, GcnParams, SpatialParams, context_spatial_extract
+from .graph import SpatialParams, context_spatial_extract, node_layout
 from .rng import RngState
 from .spectral import ShapingFilter, entropy_tensor
 
@@ -47,7 +48,7 @@ VARIANTS = (
     "re_c2",
 )
 
-_CKPT_VERSION = 4
+_CKPT_VERSION = 5
 _CKPT_META = "__meta__"  # 0-d str array: JSON {"version", "config"}; no parameter has this name
 
 # A no-tape forward runs its batch in blocks of windows whose largest intermediate
@@ -61,10 +62,8 @@ class ModelConfig:
     horizon: int = 96
     patch_len: int = 16
     d_model: int = 64
-    attn_heads: int = 4
-    gcn_heads: int = 4
+    heads: int = 4  # attention and graph heads
     knn_k: int | None = None
-    graph_variant: str = "tanh"  # tanh | softmax
     pool: str = "mean"  # mean | max
     lam: float = 0.1  # weight of the entropy-matching loss term
     n_layers: int = 2
@@ -77,44 +76,42 @@ class ModelConfig:
         self.validate()
 
     def validate(self):
-        for name in ("lookback", "horizon", "patch_len", "d_model", "attn_heads",
-                     "gcn_heads", "n_layers"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("lookback", "horizon", "patch_len", "d_model", "heads", "n_layers",
+                     "seed", "knn_k", "n_vars"):
+            value = getattr(self, name)
+            if value is None and name in ("knn_k", "n_vars"):
+                continue
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            least = 0 if name == "seed" else 1
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
+            setattr(self, name, int(value))  # a numpy integer would not serialize to JSON
         if self.patch_len > self.lookback:
             raise ConfigError(
                 f"patch_len ({self.patch_len}) exceeds lookback ({self.lookback})"
             )
-        if self.d_model % self.attn_heads != 0:
-            raise ConfigError(
-                f"attn_heads ({self.attn_heads}) must divide d_model ({self.d_model})"
-            )
-        if self.d_model % self.gcn_heads != 0:
-            raise ConfigError(
-                f"gcn_heads ({self.gcn_heads}) must divide d_model ({self.d_model})"
-            )
-        if not np.isfinite(self.lam) or self.lam < 0:
-            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
-        if self.graph_variant not in ("tanh", "softmax"):
-            raise ConfigError(f"graph_variant must be tanh or softmax, got {self.graph_variant!r}")
+        if self.d_model % self.heads != 0:
+            raise ConfigError(f"heads ({self.heads}) must divide d_model ({self.d_model})")
+        if (not isinstance(self.lam, numbers.Real) or isinstance(self.lam, bool)
+                or not np.isfinite(self.lam) or self.lam < 0):
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam!r}")
         if self.pool not in ("mean", "max"):
             raise ConfigError(f"pool must be mean or max, got {self.pool!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         if self.variant == "re_f1" and self.n_vars is None:
             raise ConfigError("variant re_f1 needs n_vars (per-variable fusion scalar)")
-        if self.knn_k is not None:
-            if self.knn_k < 1:
-                raise ConfigError(f"knn_k must be >= 1, got {self.knn_k}")
-            # Graph nodes per window: 2 patches x C locally, C at one step; the
-            # global mode keeps every edge and ignores knn_k.
-            wiring = apply_variant(self)
-            per_var = {"local": 2, "same_step": 1}.get(wiring["spatial_mode"], 0)
-            nodes = per_var * (self.n_vars or 0)  # 0: n_vars unknown or knn_k unused
-            if wiring["spatial"] and nodes and self.knn_k > nodes:
+        # Without n_vars the node count is unknown until forward; the global
+        # mode keeps every edge and ignores knn_k.
+        wiring = apply_variant(self)
+        mode = wiring["spatial_mode"]
+        if (self.knn_k is not None and self.n_vars is not None and wiring["spatial"]
+                and mode != "global"):
+            nodes = node_layout(mode, self.n_vars, self.n_patches)[1]
+            if self.knn_k > nodes:
                 raise ConfigError(
-                    f"knn_k ({self.knn_k}) exceeds the {nodes} graph nodes "
-                    f"of a {wiring['spatial_mode']} window"
+                    f"knn_k ({self.knn_k}) exceeds the {nodes} graph nodes of a {mode} window"
                 )
 
     @property
@@ -148,7 +145,7 @@ def apply_variant(config: ModelConfig) -> dict:
     wiring = {
         "temporal": v != "wo_tattn",
         "spatial": v != "wo_cse",
-        "graph": {"re_s1": "plain", "re_s2": "softmax"}.get(v, config.graph_variant),
+        "graph": {"re_s1": "plain", "re_s2": "softmax"}.get(v, "tanh"),
         "spatial_mode": {"re_c1": "same_step", "re_c2": "global"}.get(v, "local"),
         "fusion": {
             "wo_tattn": "spatial_only",
@@ -245,7 +242,7 @@ class SeedModel:
         self.wiring = wiring = apply_variant(config)
         rng = RngState(config.seed)
         L, P, D = config.lookback, config.patch_len, config.d_model
-        N, H = config.n_patches, config.gcn_heads
+        N, H = config.n_patches, config.heads
         d_h = D // H
         self._params: dict[str, T.Tensor] = {}
 
@@ -276,11 +273,11 @@ class SeedModel:
                 attn = AttentionParams(
                     *(param(f"{pre}attn.w{k}", v) for k, v in zip("qkvo", attn_init)),
                     *(param(f"{pre}attn.b{k}", np.zeros(D)) for k in "qkvo"),
-                    heads=config.attn_heads)
+                    heads=H)
             if wiring["spatial"]:
                 spatial = SpatialParams(
-                    distance=DistanceParams(param(pre + "dist.q", q_init)),
-                    gcn=GcnParams(param(pre + "gcn.weight", gcn_init)),
+                    q=param(pre + "dist.q", q_init),
+                    gcn_weight=param(pre + "gcn.weight", gcn_init),
                     heads=H, graph_variant=wiring["graph"], knn_k=config.knn_k,
                     pool=config.pool, mode=wiring["spatial_mode"],
                 )
@@ -360,11 +357,10 @@ class SeedModel:
         n = cfg.n_patches
         sizes = [n_vars * n * 2 * cfg.d_model]  # FFN hidden (C, N, 2D)
         if wiring["temporal"]:
-            sizes.append(n_vars * cfg.attn_heads * n * n)  # scores (C, heads, N, N)
+            sizes.append(n_vars * cfg.heads * n * n)  # scores (C, heads, N, N)
         if wiring["spatial"]:
-            graphs, nodes = {"local": (n - 1, 2 * n_vars), "same_step": (n, n_vars),
-                             "global": (1, n_vars * n)}[wiring["spatial_mode"]]
-            sizes.append(graphs * cfg.gcn_heads * nodes * nodes)  # (graphs, H, nodes, nodes)
+            graphs, nodes = node_layout(wiring["spatial_mode"], n_vars, n)
+            sizes.append(graphs * cfg.heads * nodes * nodes)  # (graphs, H, nodes, nodes)
         return max(1, _BLOCK_BYTES // (8 * max(sizes)))
 
     def _as_batch(self, window) -> tuple[np.ndarray, bool]:

@@ -172,20 +172,23 @@ def _forecast_batched(model: SeedModel, split: SplitWindows, batch: int = 256) -
     return out
 
 
+def _report(err: np.ndarray) -> MetricsReport:
+    """MSE/MAE of (B, C, T) forecast errors, overall and per horizon step."""
+    sq, ab = err**2, np.abs(err)
+    return MetricsReport(
+        mse=float(sq.mean()),
+        mae=float(ab.mean()),
+        horizon_mse=[float(v) for v in sq.mean(axis=(0, 1))],
+        horizon_mae=[float(v) for v in ab.mean(axis=(0, 1))],
+    )
+
+
 def evaluate(model: SeedModel, split: SplitWindows, batch: int = 256) -> MetricsReport:
     """MSE/MAE over all windows of the split, on de-normalized values."""
     t0 = time.perf_counter()
-    yhat = _forecast_batched(model, split, batch)
-    err = yhat - split.y
-    mse_steps = (err**2).mean(axis=(0, 1))  # per horizon step
-    mae_steps = np.abs(err).mean(axis=(0, 1))
-    return MetricsReport(
-        mse=float((err**2).mean()),
-        mae=float(np.abs(err).mean()),
-        horizon_mse=[float(v) for v in mse_steps],
-        horizon_mae=[float(v) for v in mae_steps],
-        seconds=time.perf_counter() - t0,
-    )
+    report = _report(_forecast_batched(model, split, batch) - split.y)
+    report.seconds = time.perf_counter() - t0
+    return report
 
 
 def validation_mse(model: SeedModel, split: SplitWindows, batch: int = 256) -> float:
@@ -196,13 +199,7 @@ def validation_mse(model: SeedModel, split: SplitWindows, batch: int = 256) -> f
 def persistence_report(split: SplitWindows) -> MetricsReport:
     """Repeat-last-value baseline: the weakest credible reference forecast."""
     y = np.ascontiguousarray(split.y)
-    err = np.broadcast_to(split.x[..., -1:], y.shape) - y
-    return MetricsReport(
-        mse=float((err**2).mean()),
-        mae=float(np.abs(err).mean()),
-        horizon_mse=[float(v) for v in (err**2).mean(axis=(0, 1))],
-        horizon_mae=[float(v) for v in np.abs(err).mean(axis=(0, 1))],
-    )
+    return _report(np.broadcast_to(split.x[..., -1:], y.shape) - y)
 
 
 # -- training loop ------------------------------------------------------------------

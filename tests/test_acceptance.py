@@ -41,7 +41,7 @@ def criterion(num: int, budget_s: float, desc: str):
 
 
 MICRO = dict(lookback=8, horizon=4, patch_len=4, d_model=8,
-             attn_heads=2, gcn_heads=2, n_layers=1, n_vars=2)
+             heads=2, n_layers=1, n_vars=2)
 
 
 def test_criterion_1_spectral_property_suite():
@@ -169,17 +169,18 @@ def test_criterion_5_gradient_suite():
         assert T.grad_check(lambda t: TR.total_loss(y, t, 0.5),
                             T.Tensor(rng.normal(size=(2, 16))), eps=1e-6) < 1e-5
 
-        # full model, micro config, both graph variants, >= 99% within 1e-4
+        # full model (tanh graph) and re_s2 (signed-softmax graph), micro config,
+        # >= 99% within 1e-4
         w = np.random.default_rng(42).normal(size=(2, 4 * 2))
         y = np.random.default_rng(43).normal(size=(2, 4))
-        for gv in ("tanh", "softmax"):
-            cfg = sc.ModelConfig(**MICRO, seed=10, graph_variant=gv,
+        for variant in ("full", "re_s2"):
+            cfg = sc.ModelConfig(**MICRO, seed=10, variant=variant,
                                  detach_entropy=False)
             model = sc.SeedModel(cfg)
             xn, _ = instance_normalize(w[None])
             toks = patch_and_embed(xn, model.embed)
             scores = G.signed_distance(G.make_windows(toks),
-                                       model.layers[0].spatial.distance, 2)
+                                       model.layers[0].spatial.q, 2)
             assert np.abs(scores.data).min() > 0.1  # away from sign kinks
 
             def full_loss():
@@ -192,7 +193,7 @@ def test_criterion_5_gradient_suite():
 def test_criterion_6_channel_independence():
     with criterion(6, 10.0, "wo_cse: perturbing channel j never touches channel i"):
         cfg = sc.ModelConfig(lookback=16, horizon=4, patch_len=4, d_model=8,
-                             attn_heads=2, gcn_heads=2, n_layers=2, n_vars=4,
+                             heads=2, n_layers=2, n_vars=4,
                              seed=6, variant="wo_cse")
         model = sc.SeedModel(cfg)
         rng = RngState(66)

@@ -184,7 +184,7 @@ class TestEval:
     def test_truncated_checkpoint_fails_cleanly(self, tiny_csv, tmp_path, capsys):
         ckpt = str(tmp_path / "model.ckpt")
         SeedModel(ModelConfig(lookback=16, horizon=4, patch_len=4, d_model=8,
-                              attn_heads=2, gcn_heads=2, n_layers=1, n_vars=4)).save(ckpt)
+                              heads=2, n_layers=1, n_vars=4)).save(ckpt)
         raw = open(ckpt, "rb").read()
         with open(ckpt, "wb") as fh:
             fh.write(raw[: len(raw) // 2])
@@ -255,7 +255,7 @@ class TestAblate:
 class TestHelp:
     SPEC_FLAGS = ["--data", "--dataset", "--split", "--date-col", "--lookback",
                   "--horizon", "--patch-len", "--d-model", "--heads", "--knn-k",
-                  "--graph", "--variant", "--lambda", "--epochs", "--batch",
+                  "--variant", "--lambda", "--epochs", "--batch",
                   "--lr", "--seed", "--out"]
 
     def test_train_help_documents_every_flag(self, capsys):
@@ -265,6 +265,13 @@ class TestHelp:
         text = capsys.readouterr().out
         for flag in self.SPEC_FLAGS:
             assert flag in text, flag
+
+    def test_graph_flag_is_gone(self, capsys):
+        # The variant alone picks the graph builder: --variant re_s2 is the softmax graph.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--data", "x.csv", "--graph", "softmax"])
+        assert exc.value.code == 2
+        assert "--graph" in capsys.readouterr().err
 
     def test_subcommands_have_help(self, capsys):
         for sub in ("train", "eval", "analyze", "ablate", "synth"):

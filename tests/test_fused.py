@@ -220,7 +220,7 @@ class TestTapeNodes:
         assert tape_bytes(out) == sum(t.data.nbytes for t in (x, w, b, out))
 
 
-MICRO = dict(lookback=16, horizon=8, patch_len=4, d_model=8, attn_heads=2, gcn_heads=2,
+MICRO = dict(lookback=16, horizon=8, patch_len=4, d_model=8, heads=2,
              n_layers=2, n_vars=3)
 
 

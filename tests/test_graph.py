@@ -4,6 +4,7 @@ import pytest
 from seedcast import graph as G
 from seedcast import tensor as T
 from seedcast.errors import ConfigError
+from tests_helpers import spatial_params
 
 
 def silu(x):
@@ -72,8 +73,7 @@ class TestSignedDistance:
     def test_identity_form_gives_dot_products(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(4, 6))
-        params = G.DistanceParams(T.Tensor(np.eye(3)))
-        scores = G.signed_distance(T.Tensor(x), params, heads=2).data
+        scores = G.signed_distance(T.Tensor(x), T.Tensor(np.eye(3)), heads=2).data
         xh = x.reshape(4, 2, 3).transpose(1, 0, 2)
         for h in range(2):
             for i in range(4):
@@ -81,16 +81,15 @@ class TestSignedDistance:
                     assert scores[h, i, j] == pytest.approx(xh[h, i] @ xh[h, j], abs=1e-12)
 
     def test_zero_form_annihilates(self):
-        params = G.DistanceParams(T.Tensor(np.zeros((2, 2))))
-        scores = G.signed_distance(
-            T.Tensor(np.random.default_rng(3).normal(size=(5, 4))), params, heads=2)
+        scores = G.signed_distance(T.Tensor(np.random.default_rng(3).normal(size=(5, 4))),
+                                   T.Tensor(np.zeros((2, 2))), heads=2)
         assert np.all(scores.data == 0)
 
     def test_double_loop_oracle(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(3, 2))  # 3 nodes, one head of width 2
         q = rng.normal(size=(2, 2))
-        scores = G.signed_distance(T.Tensor(x), G.DistanceParams(T.Tensor(q)), heads=1).data
+        scores = G.signed_distance(T.Tensor(x), T.Tensor(q), heads=1).data
         for i in range(3):
             for j in range(3):
                 ref = sum(x[i, a] * q[a, b] * x[j, b] for a in range(2) for b in range(2))
@@ -98,14 +97,13 @@ class TestSignedDistance:
 
     def test_generally_asymmetric(self):
         rng = np.random.default_rng(5)
-        params = G.DistanceParams(T.Tensor(rng.normal(size=(2, 2))))
-        s = G.signed_distance(T.Tensor(rng.normal(size=(4, 4))), params, heads=2).data
+        q = T.Tensor(rng.normal(size=(2, 2)))
+        s = G.signed_distance(T.Tensor(rng.normal(size=(4, 4))), q, heads=2).data
         assert not np.allclose(s, np.swapaxes(s, -1, -2))
 
     def test_too_many_heads(self):
         with pytest.raises(ConfigError):
-            G.signed_distance(T.Tensor(np.zeros((2, 3))),
-                              G.DistanceParams(T.Tensor(np.zeros((1, 1)))), heads=4)
+            G.signed_distance(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((1, 1))), heads=4)
 
 
 class TestSignSoftmaxGraph:
@@ -253,16 +251,15 @@ class TestGcn:
         n, d, h = 4, 6, 2
         x = np.random.default_rng(13).normal(size=(n, d))
         eye_graph = G.SignedGraph(T.Tensor(np.stack([np.eye(n)] * h)))
-        params = G.GcnParams(T.Tensor(np.stack([np.eye(d // h)] * h)))
-        out = G.gcn(T.Tensor(x), eye_graph, params)
+        out = G.gcn(T.Tensor(x), eye_graph, T.Tensor(np.stack([np.eye(d // h)] * h)))
         assert np.abs(out.data - (x + silu(x))).max() < 1e-12  # input + its own transform
 
     def test_zero_graph_reduces_to_residual(self):
         n, d, h = 3, 4, 2
         x = np.random.default_rng(14).normal(size=(n, d))
         zero_graph = G.SignedGraph(T.Tensor(np.zeros((h, n, n))))
-        params = G.GcnParams(T.Tensor(np.random.default_rng(15).normal(size=(h, 2, 2))))
-        out = G.gcn(T.Tensor(x), zero_graph, params)
+        weight = T.Tensor(np.random.default_rng(15).normal(size=(h, 2, 2)))
+        out = G.gcn(T.Tensor(x), zero_graph, weight)
         assert np.array_equal(out.data, x)  # silu(0) = 0
 
     def test_hand_case_single_head(self):
@@ -270,7 +267,7 @@ class TestGcn:
         x = rng.normal(size=(3, 2))
         adj = rng.normal(size=(1, 3, 3))
         w = rng.normal(size=(1, 2, 2))
-        out = G.gcn(T.Tensor(x), G.SignedGraph(T.Tensor(adj)), G.GcnParams(T.Tensor(w)))
+        out = G.gcn(T.Tensor(x), G.SignedGraph(T.Tensor(adj)), T.Tensor(w))
         expected = x + silu((adj[0] @ x) @ w[0])
         assert np.abs(out.data - expected).max() < 1e-10
 
@@ -327,20 +324,6 @@ class TestOverlapPool:
         assert np.array_equal(pooled[:, 1], np.maximum(a, b))
 
 
-def spatial_params(d, h, rng, variant="tanh", knn_k=None, mode="local"):
-    d_h = d // h
-    return G.SpatialParams(
-        distance=G.DistanceParams(T.Tensor(rng.normal(size=(d_h, d_h)) / d_h,
-                                           requires_grad=True)),
-        gcn=G.GcnParams(T.Tensor(rng.normal(size=(h, d_h, d_h)) * d_h**-0.5,
-                                 requires_grad=True)),
-        heads=h,
-        graph_variant=variant,
-        knn_k=knn_k,
-        mode=mode,
-    )
-
-
 class TestContextSpatialExtract:
     def test_single_channel_degenerate(self):
         rng = np.random.default_rng(22)
@@ -364,9 +347,9 @@ class TestContextSpatialExtract:
         out = G.context_spatial_extract(tokens, p).data
 
         windows = G.make_windows(tokens)
-        scores = G.signed_distance(windows, p.distance, h)
+        scores = G.signed_distance(windows, p.q, h)
         graph = G.tanh_l1_graph(scores)  # no knn_sparsify at all
-        ref = G.pool_windows(G.gcn(windows, graph, p.gcn), "mean").data
+        ref = G.pool_windows(G.gcn(windows, graph, p.gcn_weight), "mean").data
         assert np.abs(out - ref).max() < 1e-10
 
     def test_same_step_mode_shapes(self):
@@ -384,9 +367,9 @@ class TestContextSpatialExtract:
         out = G.context_spatial_extract(tokens, p).data
 
         nodes = T.Tensor(np.swapaxes(tokens.data, -3, -2))  # (B, N, C, D)
-        graph = G.knn_sparsify(G.tanh_l1_graph(G.signed_distance(nodes, p.distance, h)), k)
+        graph = G.knn_sparsify(G.tanh_l1_graph(G.signed_distance(nodes, p.q, h)), k)
         assert graph.mask.sum(axis=-1).max() == k < c
-        ref = np.swapaxes(G.gcn(nodes, graph, p.gcn).data, -3, -2)
+        ref = np.swapaxes(G.gcn(nodes, graph, p.gcn_weight).data, -3, -2)
         assert out.shape == (b, c, n, d) and np.array_equal(out, ref)
 
     def test_unknown_mode_raises(self):
@@ -395,13 +378,36 @@ class TestContextSpatialExtract:
         with pytest.raises(ConfigError, match="diagonal"):
             G.context_spatial_extract(T.Tensor(rng.normal(size=(3, 4, 8))), p)
 
+    @pytest.mark.parametrize("mode", ["local", "same_step", "global"])
+    @pytest.mark.parametrize("c, n", [(1, 2), (2, 3), (3, 5), (4, 2)])
+    def test_graph_shape_follows_node_layout(self, monkeypatch, mode, c, n):
+        rng = np.random.default_rng(33)
+        d, h, lead = 8, 2, (2,)
+        shapes = []
+        knn = G.knn_sparsify
+
+        def spy(graph, k):
+            shapes.append(graph.weights.shape)
+            return knn(graph, k)
+
+        monkeypatch.setattr(G, "knn_sparsify", spy)
+        p = spatial_params(d, h, rng, mode=mode)
+        out = G.context_spatial_extract(T.Tensor(rng.normal(size=lead + (c, n, d))), p)
+        graphs, nodes = G.node_layout(mode, c, n)
+        assert shapes == [lead + (graphs, h, nodes, nodes)]
+        assert out.shape == lead + (c, n, d)
+
+    def test_node_layout_unknown_mode(self):
+        with pytest.raises(ConfigError, match="diagonal"):
+            G.node_layout("diagonal", 2, 3)
+
     def test_same_step_window_and_node_counts(self):
         # One window per patch, each over the C variables at that step.
         rng = np.random.default_rng(30)
         c, n, d = 4, 3, 8
         tokens = T.Tensor(rng.normal(size=(c, n, d)))
         nodes = T.swapaxes(tokens, 0, 1)
-        scores = G.signed_distance(nodes, G.DistanceParams(T.Tensor(np.eye(4))), heads=2)
+        scores = G.signed_distance(nodes, T.Tensor(np.eye(4)), heads=2)
         assert scores.shape == (n, 2, c, c)
 
     def test_global_mode_matches_manual_composition(self):
@@ -412,9 +418,9 @@ class TestContextSpatialExtract:
         out = G.context_spatial_extract(tokens, p).data
 
         nodes = tokens.reshape((c * n, d))
-        scores = G.signed_distance(nodes, p.distance, h)
+        scores = G.signed_distance(nodes, p.q, h)
         graph = G.knn_sparsify(G.tanh_l1_graph(scores), c * n)
-        ref = G.gcn(nodes, graph, p.gcn).data.reshape(c, n, d)
+        ref = G.gcn(nodes, graph, p.gcn_weight).data.reshape(c, n, d)
         assert np.abs(out - ref).max() < 1e-10
 
     def test_channel_permutation_equivariance(self):
@@ -443,9 +449,9 @@ class TestContextSpatialExtract:
     def test_gradient_through_softmax_graph_away_from_kinks(self):
         rng = np.random.default_rng(11)  # seed chosen so every |s| > 0.1
         p = spatial_params(4, 2, rng, variant="softmax")
-        p.distance.q.data *= 4.0  # push scores away from the |s| kink at 0
+        p.q.data *= 4.0  # push scores away from the |s| kink at 0
         tokens = T.Tensor(rng.normal(size=(2, 3, 4)))
-        scores = G.signed_distance(G.make_windows(tokens), p.distance, 2)
+        scores = G.signed_distance(G.make_windows(tokens), p.q, 2)
         assert np.abs(scores.data).min() > 0.1
         target = rng.normal(size=(2, 3, 4))
 

@@ -10,7 +10,11 @@ from seedcast.model import VARIANTS, ModelConfig, SeedModel, apply_variant
 from tests_helpers import strided_windows
 
 MICRO = dict(lookback=8, horizon=4, patch_len=4, d_model=8,
-             attn_heads=2, gcn_heads=2, n_layers=1, n_vars=2)
+             heads=2, n_layers=1, n_vars=2)
+
+
+# Version-4 config keys that checkpoint version 5 merged away.
+MERGED_KEYS = (("attn_heads", 2), ("gcn_heads", 2), ("graph_variant", "softmax"))
 
 
 def micro_config(**kw):
@@ -27,7 +31,7 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             micro_config(patch_len=9)  # > lookback
         with pytest.raises(ConfigError):
-            micro_config(attn_heads=3)  # does not divide d_model
+            micro_config(heads=3)  # does not divide d_model
         with pytest.raises(ConfigError):
             micro_config(variant="bogus")
         with pytest.raises(ConfigError):
@@ -58,6 +62,35 @@ class TestModelConfig:
         d = {**micro_config().to_dict(), "revin": True, "per_head_q": False}
         with pytest.raises(ConfigError, match=r"\['per_head_q', 'revin'\]"):
             ModelConfig.from_dict(d)
+        for key, value in MERGED_KEYS:
+            with pytest.raises(ConfigError, match=key):
+                ModelConfig.from_dict({**micro_config().to_dict(), key: value})
+
+    @pytest.mark.parametrize("name", ["lookback", "horizon", "patch_len", "d_model", "heads",
+                                      "n_layers", "seed", "knn_k", "n_vars"])
+    @pytest.mark.parametrize("value", [4.0, 2.5, True, "4"])
+    def test_integer_fields_reject_non_integers(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            micro_config(**{name: value})
+
+    def test_numpy_integers_become_ints(self, tmp_path):
+        cfg = micro_config(d_model=np.int64(8), knn_k=np.int32(2), n_vars=np.int16(2))
+        assert cfg == micro_config(knn_k=2) and type(cfg.n_vars) is int
+        path = os.path.join(tmp_path, "m.ckpt")
+        SeedModel(cfg).save(path)  # the config JSON holds plain ints
+        assert SeedModel.load(path).config == cfg
+
+    @pytest.mark.parametrize("lam", ["0.1", None, True])
+    def test_lambda_must_be_a_number(self, lam):
+        with pytest.raises(ConfigError, match="lambda"):
+            micro_config(lam=lam)
+
+    @pytest.mark.parametrize("kw", [dict(n_vars=0), dict(n_vars=-2, variant="re_f1"),
+                                    dict(n_vars=-2, knn_k=3), dict(seed=-1)])
+    def test_out_of_range_fields(self, kw):
+        name = next(iter(kw))
+        with pytest.raises(ConfigError, match=f"{name} must be >= "):
+            micro_config(**kw)
 
     def test_n_patches_ceil(self):
         assert ModelConfig(lookback=96, patch_len=20).n_patches == 5
@@ -94,6 +127,13 @@ class TestForward:
         out = model.forward(np.random.default_rng(0).normal(size=(7, 96)))
         assert out.shape == (7, 96)
         assert np.all(np.isfinite(out.data))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_univariate_input(self, variant):
+        # One variable makes one-node same_step graphs; the default knn_k fits them.
+        w = np.random.default_rng(2).normal(size=(1, 8))
+        out = SeedModel(micro_config(n_vars=1, variant=variant)).forward(w)
+        assert out.shape == (1, 4) and np.all(np.isfinite(out.data))
 
     def test_determinism_bit_identical(self):
         w = np.random.default_rng(1).normal(size=(2, 8))
@@ -337,7 +377,7 @@ class TestCountParams:
         model = SeedModel(cfg)
         wiring = apply_variant(cfg)
         L, P, D, T_ = cfg.lookback, cfg.patch_len, cfg.d_model, cfg.horizon
-        N, H, C = cfg.n_patches, cfg.gcn_heads, cfg.n_vars
+        N, H, C = cfg.n_patches, cfg.heads, cfg.n_vars
         d_h = D // H
         per_layer = (D * 2 * D + 2 * D + 2 * D * D + D  # feed-forward
                      + 4 * D)                           # two layer norms
@@ -464,16 +504,25 @@ class TestCheckpoint:
             with pytest.raises(ConfigError):
                 SeedModel.load(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 5])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 6])
     def test_version_mismatch(self, tmp_path, version):
         path = _saved_with_meta(tmp_path, lambda meta: {**meta, "version": version})
         with pytest.raises(ConfigError, match="version"):
             SeedModel.load(path)
 
     def test_unknown_config_key(self, tmp_path):
+        for key, value in (("revin", True),) + MERGED_KEYS:
+            path = _saved_with_meta(
+                tmp_path, lambda meta: {**meta, "config": {**meta["config"], key: value}})
+            with pytest.raises(ConfigError, match=key):
+                SeedModel.load(path)
+
+    @pytest.mark.parametrize("key, value", [("knn_k", 3.5), ("heads", 2.0), ("n_vars", -2)])
+    def test_bad_config_value(self, tmp_path, key, value):
+        # Rejected on load, not at the first forecast.
         path = _saved_with_meta(
-            tmp_path, lambda meta: {**meta, "config": {**meta["config"], "revin": True}})
-        with pytest.raises(ConfigError, match="revin"):
+            tmp_path, lambda meta: {**meta, "config": {**meta["config"], key: value}})
+        with pytest.raises(ConfigError, match=key):
             SeedModel.load(path)
 
     def test_state_shape_mismatch(self):

@@ -163,8 +163,7 @@ class TestEvaluate:
 
     def test_strided_split_matches_copy(self):
         model = SeedModel(ModelConfig(lookback=24, horizon=8, patch_len=8, d_model=8,
-                                      attn_heads=2, gcn_heads=2, n_layers=1, n_vars=3,
-                                      seed=3))
+                                      heads=2, n_layers=1, n_vars=3, seed=3))
         view, copy = strided_windows(300, 3, 32, seed=12)  # more than one batch of 256
         strided = TR.evaluate(model, TR.SplitWindows(view[..., :24], view[..., 24:]))
         contiguous = TR.evaluate(model, TR.SplitWindows(copy[..., :24], copy[..., 24:]))
@@ -205,8 +204,7 @@ def tiny_sine_splits(length=400, lookback=24, horizon=8):
 
 def tiny_model(seed=0, **kw):
     cfg = ModelConfig(lookback=24, horizon=8, patch_len=8, d_model=8,
-                      attn_heads=2, gcn_heads=2, n_layers=1, n_vars=1,
-                      seed=seed, **kw)
+                      heads=2, n_layers=1, n_vars=1, seed=seed, **kw)
     return SeedModel(cfg)
 
 
@@ -300,8 +298,8 @@ class TestStepMemory:
         t = np.arange(600)[:, None]
         values = np.sin(2 * np.pi * t / (6 + np.arange(4))) + 0.1 * rng.normal(size=(600, 4))
         splits = D.make_splits(D.Dataset("sines", values, split_ratio=(6, 2, 2)), 24, 8)
-        cfg = ModelConfig(lookback=24, horizon=8, patch_len=8, d_model=16, attn_heads=2,
-                          gcn_heads=2, n_layers=1, n_vars=4, seed=0)
+        cfg = ModelConfig(lookback=24, horizon=8, patch_len=8, d_model=16, heads=2,
+                          n_layers=1, n_vars=4, seed=0)
         batch = 32
         model = SeedModel(cfg)
         idx = np.arange(batch)

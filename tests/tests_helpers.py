@@ -24,10 +24,8 @@ def attention_params(d_model, heads, rng=None, scale=None):
 def spatial_params(d, h, rng, variant="tanh", knn_k=None, mode="local"):
     d_h = d // h
     return G.SpatialParams(
-        distance=G.DistanceParams(T.Tensor(rng.normal(size=(d_h, d_h)) / d_h,
-                                           requires_grad=True)),
-        gcn=G.GcnParams(T.Tensor(rng.normal(size=(h, d_h, d_h)) * d_h**-0.5,
-                                 requires_grad=True)),
+        q=T.Tensor(rng.normal(size=(d_h, d_h)) / d_h, requires_grad=True),
+        gcn_weight=T.Tensor(rng.normal(size=(h, d_h, d_h)) * d_h**-0.5, requires_grad=True),
         heads=h,
         graph_variant=variant,
         knn_k=knn_k,
