@@ -73,17 +73,18 @@ def sign_softmax_graph(scores: T.Tensor) -> SignedGraph:
 def tanh_l1_graph(scores: T.Tensor) -> SignedGraph:
     """tanh(s) normalized by the row L1 norm; all-zero rows stay all-zero.
 
-    One tape node that keeps only the row norms besides its output. Its
-    backward recomputes tanh from the scores and takes the derivative of the
-    tanh, |.|, row-sum and division chain in that chain's own order.
+    One tape node that keeps the scores and the row norms, not its output.
+    Its backward recomputes tanh from the scores and takes the derivative of
+    the tanh, |.|, row-sum and division chain in that chain's own order.
     """
-    th = np.tanh(scores.data)
+    sd = scores.data
+    th = np.tanh(sd)
     denom = np.abs(th).sum(axis=-1, keepdims=True)
     denom += denom == 0.0  # an all-zero row divides by 1
     weights = np.divide(th, denom, out=th)
 
     def _bw(g):
-        th = np.tanh(scores.data)
+        th = np.tanh(sd)
         g_denom = (-g * th / (denom * denom)).sum(axis=-1, keepdims=True)
         g_th = g / denom + np.broadcast_to(g_denom, th.shape) * np.sign(th)
         return (g_th * (1.0 - th * th),)

@@ -81,20 +81,14 @@ class ModelConfig:
             value = getattr(self, name)
             if value is None and name in ("knn_k", "n_vars"):
                 continue
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            least = 0 if name == "seed" else 1
-            if value < least:
-                raise ConfigError(f"{name} must be >= {least}, got {value}")
-            setattr(self, name, int(value))  # a numpy integer would not serialize to JSON
+            setattr(self, name, check_integer(name, value, 0 if name == "seed" else 1))
         if self.patch_len > self.lookback:
             raise ConfigError(
                 f"patch_len ({self.patch_len}) exceeds lookback ({self.lookback})"
             )
         if self.d_model % self.heads != 0:
             raise ConfigError(f"heads ({self.heads}) must divide d_model ({self.d_model})")
-        if (not isinstance(self.lam, numbers.Real) or isinstance(self.lam, bool)
-                or not np.isfinite(self.lam) or self.lam < 0):
+        if not finite_real(self.lam) or self.lam < 0:
             raise ConfigError(f"lambda must be finite and >= 0, got {self.lam!r}")
         if self.pool not in ("mean", "max"):
             raise ConfigError(f"pool must be mean or max, got {self.pool!r}")
@@ -130,6 +124,21 @@ class ModelConfig:
         if unknown:
             raise ConfigError(f"unknown model config keys {sorted(unknown)}")
         return cls(**d)
+
+
+def check_integer(name: str, value, least: int) -> int:
+    """``value`` as a Python int; ConfigError unless it is an integer, not a bool, >= ``least``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+    return int(value)  # a numpy integer would not serialize to JSON
+
+
+def finite_real(value) -> bool:
+    """True for a finite real number that is not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and bool(np.isfinite(value)))
 
 
 def config_dict(cfg) -> dict:
@@ -178,30 +187,32 @@ class LayerParams:
 def layer_norm(x: T.Tensor, gamma: T.Tensor, beta: T.Tensor, eps: float = 1e-5) -> T.Tensor:
     """``(x - mean) / sqrt(var + eps) * gamma + beta`` over the last axis, as one tape node.
 
-    Ba et al., arXiv:1607.06450. The node keeps only the per-row std besides
-    its output. Its backward recomputes the centred input from ``x`` and takes
-    the chain's derivative step by step, in the order that chain's own nodes
-    would, so where ``x`` feeds nothing else its gradients are the chain's to
-    the bit.
+    Ba et al., arXiv:1607.06450. The node keeps the input, ``gamma`` and the
+    per-row std, not its output. Its backward recomputes the centred input
+    from ``x`` and takes the chain's derivative step by step, in the order
+    that chain's own nodes would, so where ``x`` feeds nothing else its
+    gradients are the chain's to the bit.
     """
     shape, d = x.shape, x.shape[-1]
+    xd, gd, sg, sb = x.data, gamma.data, gamma.shape, beta.shape
+    need_x, need_gamma, need_beta = x.requires_grad, gamma.requires_grad, beta.requires_grad
 
     def centred():
-        return x.data - x.data.mean(axis=-1, keepdims=True)
+        return xd - xd.mean(axis=-1, keepdims=True)
 
     xc = centred()
     std = np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
     out = xc / std
-    out *= gamma.data
+    out *= gd
     out += beta.data
 
     def _bw(g):
         xc = centred()
-        g_gamma = T._unbroadcast(g * (xc / std), gamma.shape) if gamma.requires_grad else None
-        g_beta = T._unbroadcast(g, beta.shape) if beta.requires_grad else None
-        if not x.requires_grad:
+        g_gamma = T._unbroadcast(g * (xc / std), sg) if need_gamma else None
+        g_beta = T._unbroadcast(g, sb) if need_beta else None
+        if not need_x:
             return None, g_gamma, g_beta
-        g_xhat = g * gamma.data
+        g_xhat = g * gd
         g_std = T._unbroadcast(-g_xhat * xc / (std * std), std.shape)
         g_sq = np.broadcast_to(g_std * 0.5 / std, shape) / d  # through sqrt(mean(xc * xc))
         g_sq_xc = g_sq * xc

@@ -1,11 +1,15 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-A Tensor wraps a numpy array plus an optional gradient accumulator. Ops
-record a backward closure on a tape; ``backward()`` walks the graph in
-reverse topological order, sums gradients across fan-out, and releases the
-graph as it goes, so a second ``backward()`` through it raises. Broadcasting
-follows numpy's rules for size-1/leading axes; anything that does not
-broadcast raises ShapeError up front.
+A Tensor wraps a numpy array plus an optional gradient accumulator. The
+output of an op that needs a gradient points to a small tape node: links to
+its parents, a backward closure and the gradient in flight, but not the
+output array. Each closure keeps only the arrays its formula reads, and
+shapes or flags otherwise, so an output that no backward reads is freed as
+soon as the forward drops it. ``backward()`` walks the nodes in reverse
+topological order, sums gradients across fan-out, and releases each node's
+saved arrays once its closure has run, so a second ``backward()`` through
+the graph raises. Broadcasting follows numpy's rules for size-1/leading
+axes; anything that does not broadcast raises ShapeError up front.
 """
 
 from __future__ import annotations
@@ -40,15 +44,30 @@ def grad_enabled() -> bool:
     return _GRAD_ENABLED
 
 
+class _Node:
+    """One taped op: links to its parents, its backward closure, its gradient in flight.
+
+    A link is the parent's own ``_Node``, the parent itself when it is a leaf
+    that needs a gradient (so ``backward()`` can write its ``grad``), or None
+    when the parent needs no gradient. The node does not hold the op's output.
+    """
+
+    __slots__ = ("parents", "backward", "grad")
+
+    def __init__(self, parents, backward):
+        self.parents = parents
+        self.backward = backward
+        self.grad = None
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward = None
+        self._node = None  # the tape node of the op that made this tensor, when taped
 
     # -- basic introspection ------------------------------------------------
 
@@ -86,9 +105,15 @@ class Tensor:
                     f"backward() needs a scalar output or explicit seed, got shape {self.shape}"
                 )
             seed = np.ones_like(self.data)
-        topo: list[Tensor] = []
+        seed = np.asarray(seed, dtype=np.float64)
+        if seed.shape != self.shape:
+            raise ShapeError(f"backward() seed has shape {seed.shape}, the output {self.shape}")
+        self.grad = seed
+        if self._node is None:
+            return
+        topo: list[_Node] = []
         visited = set()
-        stack = [(self, False)]
+        stack = [(self._node, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -98,25 +123,22 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited:
+            for p in node.parents:
+                if type(p) is _Node and id(p) not in visited:
                     stack.append((p, False))
-        self.grad = np.asarray(seed, dtype=np.float64)
+        self._node.grad = seed
         for node in reversed(topo):
-            if node._backward is None or node.grad is None:
+            if node.grad is None:
                 continue
-            for parent, g in zip(node._parents, node._backward(node.grad)):
-                if g is None or not parent.requires_grad:
+            for link, g in zip(node.parents, node.backward(node.grad)):
+                if g is None or link is None:
                     continue
                 # Fan-out sums; grads are never mutated in place, so sharing is safe.
-                parent.grad = g if parent.grad is None else parent.grad + g
-            # Release the graph: drop the closure, what it captured, and the parent
-            # links. ``topo`` still holds every node, so their arrays are freed
-            # together when backward() returns, not interleaved with the walk.
-            node._parents = ()
-            node._backward = _released
-            if node is not self:
-                node.grad = None  # free intermediate gradients early
+                link.grad = g if link.grad is None else link.grad + g
+            # Release the node: dropping its closure frees the arrays it saved.
+            node.parents = ()
+            node.backward = _released
+            node.grad = None
 
     # -- operator sugar -----------------------------------------------------
 
@@ -179,18 +201,26 @@ def _ensure(x) -> Tensor:
     raise TypeError(f"cannot treat {type(x).__name__} as Tensor")
 
 
+def _link(t: Tensor):
+    """What a tape node keeps of parent ``t`` (see ``_Node``)."""
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else None
+
+
 def _node(data: np.ndarray, parents, backward) -> Tensor:
     """The output of an op over ``parents``, taped when any of them needs a gradient.
 
     ``backward(g)`` maps the output's gradient to one gradient per parent, in
-    order, with None for a parent that keeps none. Ops with a hand-written
-    backward outside this module build their output through here too.
+    order, with None for a parent that keeps none. It must capture only the
+    arrays its formula reads, never a Tensor, so that the tape keeps no more.
+    Ops with a hand-written backward outside this module build their output
+    through here too.
     """
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+        out._node = _Node(tuple(_link(p) for p in parents), backward)
     return out
 
 
@@ -207,10 +237,15 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     return grad
 
 
-def _binary_bw(a: Tensor, b: Tensor, grad_a, grad_b):
-    """Backward of a two-operand op that builds only the gradients a parent keeps."""
-    return lambda g: (grad_a(g) if a.requires_grad else None,
-                      grad_b(g) if b.requires_grad else None)
+def _wanted(parents, *grads):
+    """A backward that runs, and keeps the arrays of, only the gradients a parent needs.
+
+    ``grads[i](g)`` maps the output's gradient to parent i's. The function of
+    a parent that needs no gradient is dropped here, and with it every array
+    that only it reads.
+    """
+    grads = [f if p.requires_grad else None for p, f in zip(parents, grads)]
+    return lambda g: tuple(None if f is None else f(g) for f in grads)
 
 
 def _check_broadcast(a: Tensor, b: Tensor, opname: str):
@@ -228,56 +263,49 @@ def _check_broadcast(a: Tensor, b: Tensor, opname: str):
 def add(a, b) -> Tensor:
     a, b = _ensure(a), _ensure(b)
     _check_broadcast(a, b, "add")
-    return _node(
-        a.data + b.data,
-        (a, b),
-        _binary_bw(a, b, lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape)),
-    )
+    sa, sb = a.shape, b.shape
+    return _node(a.data + b.data, (a, b), _wanted(
+        (a, b), lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(g, sb)))
 
 
 def sub(a, b) -> Tensor:
     a, b = _ensure(a), _ensure(b)
     _check_broadcast(a, b, "sub")
-    return _node(
-        a.data - b.data,
-        (a, b),
-        _binary_bw(a, b, lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(-g, b.shape)),
-    )
+    sa, sb = a.shape, b.shape
+    return _node(a.data - b.data, (a, b), _wanted(
+        (a, b), lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(-g, sb)))
 
 
 def mul(a, b) -> Tensor:
     a, b = _ensure(a), _ensure(b)
     _check_broadcast(a, b, "mul")
-    return _node(
-        a.data * b.data,
-        (a, b),
-        _binary_bw(a, b, lambda g: _unbroadcast(g * b.data, a.shape),
-                   lambda g: _unbroadcast(g * a.data, b.shape)),
-    )
+    ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
+    return _node(ad * bd, (a, b), _wanted(
+        (a, b), lambda g: _unbroadcast(g * bd, sa), lambda g: _unbroadcast(g * ad, sb)))
 
 
 def div(a, b) -> Tensor:
     a, b = _ensure(a), _ensure(b)
     _check_broadcast(a, b, "div")
-    return _node(
-        a.data / b.data,
-        (a, b),
-        _binary_bw(a, b, lambda g: _unbroadcast(g / b.data, a.shape),
-                   lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape)),
-    )
+    ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
+    return _node(ad / bd, (a, b), _wanted(
+        (a, b), lambda g: _unbroadcast(g / bd, sa),
+        lambda g: _unbroadcast(-g * ad / (bd * bd), sb)))
 
 
 def maximum(a, b) -> Tensor:
     """Elementwise max; on ties the gradient routes to the first argument."""
     a, b = _ensure(a), _ensure(b)
     _check_broadcast(a, b, "maximum")
+    ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def _bw(g):
-        mask = (a.data >= b.data).astype(np.float64)
-        return (_unbroadcast(g * mask, a.shape) if a.requires_grad else None,
-                _unbroadcast(g * (1.0 - mask), b.shape) if b.requires_grad else None)
+        mask = (ad >= bd).astype(np.float64)
+        return (_unbroadcast(g * mask, sa) if need_a else None,
+                _unbroadcast(g * (1.0 - mask), sb) if need_b else None)
 
-    return _node(np.maximum(a.data, b.data), (a, b), _bw)
+    return _node(np.maximum(ad, bd), (a, b), _bw)
 
 
 # -- elementwise unary ops ----------------------------------------------------
@@ -291,8 +319,8 @@ def neg(a) -> Tensor:
 def power(a, p) -> Tensor:
     a = _ensure(a)
     p = float(p)
-    out = a.data**p
-    return _node(out, (a,), lambda g: (g * p * a.data ** (p - 1.0),))
+    ad = a.data
+    return _node(ad**p, (a,), lambda g: (g * p * ad ** (p - 1.0),))
 
 
 def exp(a) -> Tensor:
@@ -303,7 +331,8 @@ def exp(a) -> Tensor:
 
 def log(a) -> Tensor:
     a = _ensure(a)
-    return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
+    ad = a.data
+    return _node(np.log(ad), (a,), lambda g: (g / ad,))
 
 
 def sqrt(a) -> Tensor:
@@ -326,8 +355,9 @@ def sigmoid(a) -> Tensor:
 
 def silu(a) -> Tensor:
     a = _ensure(a)
-    s = 1.0 / (1.0 + np.exp(-a.data))
-    return _node(a.data * s, (a,), lambda g: (g * s * (1.0 + a.data * (1.0 - s)),))
+    ad = a.data
+    s = 1.0 / (1.0 + np.exp(-ad))
+    return _node(ad * s, (a,), lambda g: (g * s * (1.0 + ad * (1.0 - s)),))
 
 
 def xlogx(a, tiny: float = 1e-300) -> Tensor:
@@ -345,7 +375,8 @@ def xlogx(a, tiny: float = 1e-300) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = _ensure(a)
     shape = tuple(shape) if not isinstance(shape, int) else (shape,)
-    return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+    sa = a.shape
+    return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(sa),))
 
 
 def swapaxes(a, i: int, j: int) -> Tensor:
@@ -357,9 +388,10 @@ def swapaxes(a, i: int, j: int) -> Tensor:
 def take(a, idx) -> Tensor:
     """Basic indexing (ints/slices/ellipsis); no repeated advanced indices."""
     a = _ensure(a)
+    sa = a.shape
 
     def _bw(g):
-        full = np.zeros(a.shape)
+        full = np.zeros(sa)
         full[idx] += g
         return (full,)
 
@@ -368,13 +400,12 @@ def take(a, idx) -> Tensor:
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [_ensure(t) for t in tensors]
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
     def _bw(g):
         sl = [slice(None)] * g.ndim
         grads = []
-        for i in range(len(tensors)):
+        for i in range(len(offsets) - 1):
             sl[axis] = slice(offsets[i], offsets[i + 1])
             grads.append(g[tuple(sl)])
         return tuple(grads)
@@ -384,11 +415,9 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 def stack(tensors, axis: int = 0) -> Tensor:
     tensors = [_ensure(t) for t in tensors]
-
-    def _bw(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
-
-    return _node(np.stack([t.data for t in tensors], axis=axis), tensors, _bw)
+    n = len(tensors)
+    return _node(np.stack([t.data for t in tensors], axis=axis), tensors,
+                 lambda g: tuple(np.take(g, i, axis=axis) for i in range(n)))
 
 
 # -- reductions ----------------------------------------------------------------
@@ -396,23 +425,25 @@ def stack(tensors, axis: int = 0) -> Tensor:
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _ensure(a)
+    sa = a.shape
 
     def _bw(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape),)
+        return (np.broadcast_to(g, sa),)
 
     return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), _bw)
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _ensure(a)
-    count = a.size if axis is None else np.prod([a.shape[ax] for ax in np.atleast_1d(axis)])
+    sa = a.shape
+    count = a.size if axis is None else np.prod([sa[ax] for ax in np.atleast_1d(axis)])
 
     def _bw(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape) / count,)
+        return (np.broadcast_to(g, sa) / count,)
 
     return _node(a.data.mean(axis=axis, keepdims=keepdims), (a,), _bw)
 
@@ -430,32 +461,27 @@ def matmul(a, b) -> Tensor:
         np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     except ValueError:
         raise ShapeError(f"matmul batch dimensions do not broadcast: {a.shape} @ {b.shape}") from None
+    ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
 
     if b.ndim == 2:
         # Plain weight matrix: collapse batch dims into one DGEMM each way.
-        k, n = b.shape
-        a2 = a.data.reshape(-1, k)
+        k, n = sb
+        a2 = ad.reshape(-1, k)
+        return _node((a2 @ bd).reshape(sa[:-1] + (n,)), (a, b), _wanted(
+            (a, b), lambda g: (g.reshape(-1, n) @ bd.T).reshape(sa),
+            lambda g: ad.reshape(-1, k).T @ g.reshape(-1, n)))
 
-        return _node(
-            (a2 @ b.data).reshape(a.shape[:-1] + (n,)),
-            (a, b),
-            _binary_bw(a, b, lambda g: (g.reshape(-1, n) @ b.data.T).reshape(a.shape),
-                       lambda g: a2.T @ g.reshape(-1, n)),
-        )
-
-    return _node(
-        a.data @ b.data,
-        (a, b),
-        _binary_bw(a, b, lambda g: _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
-                   lambda g: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)),
-    )
+    return _node(ad @ bd, (a, b), _wanted(
+        (a, b), lambda g: _unbroadcast(g @ np.swapaxes(bd, -1, -2), sa),
+        lambda g: _unbroadcast(np.swapaxes(ad, -1, -2) @ g, sb)))
 
 
 def linear(x, w, b) -> Tensor:
     """``x @ w + b`` as one node, for a (K, N) weight and a bias that broadcasts to the output.
 
-    The node keeps no array but its output; its gradients are those of the
-    matmul-then-add chain, computed the same way.
+    The node keeps ``w`` where ``x`` needs a gradient and ``x`` where ``w``
+    does; its gradients are those of the matmul-then-add chain, computed the
+    same way.
     """
     x, w, b = _ensure(x), _ensure(w), _ensure(b)
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
@@ -468,16 +494,12 @@ def linear(x, w, b) -> Tensor:
         fits = False
     if not fits:
         raise ShapeError(f"linear: bias {b.shape} does not broadcast to the output {shape}")
-    out = (x.data.reshape(-1, k) @ w.data).reshape(shape)
+    xd, wd, sx, sb = x.data, w.data, x.shape, b.shape
+    out = (xd.reshape(-1, k) @ wd).reshape(shape)
     out += b.data
-
-    def _bw(g):
-        g2 = g.reshape(-1, n)
-        return ((g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None,
-                x.data.reshape(-1, k).T @ g2 if w.requires_grad else None,
-                _unbroadcast(g, b.shape) if b.requires_grad else None)
-
-    return _node(out, (x, w, b), _bw)
+    return _node(out, (x, w, b), _wanted(
+        (x, w, b), lambda g: (g.reshape(-1, n) @ wd.T).reshape(sx),
+        lambda g: xd.reshape(-1, k).T @ g.reshape(-1, n), lambda g: _unbroadcast(g, sb)))
 
 
 def softmax(a, axis: int = -1) -> Tensor:

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DataError, DivergenceError, ShapeError
-from .model import SeedModel, config_dict
+from .model import SeedModel, check_integer, config_dict, finite_real
 from .rng import RngState
 from .spectral import entropy_tensor
 
@@ -109,15 +109,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        for name in ("batch_size", "patience"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not np.isfinite(self.learning_rate) or self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.lam is not None and (not np.isfinite(self.lam) or self.lam < 0):
-            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
+        for name, least in (("epochs", 0), ("batch_size", 1), ("patience", 1), ("seed", 0)):
+            setattr(self, name, check_integer(name, getattr(self, name), least))
+        if not finite_real(self.learning_rate) or self.learning_rate <= 0:
+            raise ConfigError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        if self.lam is not None and (not finite_real(self.lam) or self.lam < 0):
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam!r}")
 
     def to_dict(self) -> dict:
         return config_dict(self)

@@ -26,7 +26,8 @@ def layer_norm(x, gamma, beta, eps=1e-5):
 
 def absolute(a):
     """|a| as one tape node, a step of the tanh-L1 chain below."""
-    return T._node(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
+    ad = a.data
+    return T._node(np.abs(ad), (a,), lambda g: (g * np.sign(ad),))
 
 
 def tanh_l1_graph(scores):

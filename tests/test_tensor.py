@@ -1,9 +1,12 @@
+import inspect
 import weakref
 
 import numpy as np
 import pytest
 
 from oracles import absolute
+from seedcast import graph as G
+from seedcast import model as M
 from seedcast import tensor as T
 from seedcast.errors import InputError, NumericError, ShapeError
 
@@ -200,7 +203,7 @@ class TestNoGrad:
         x = T.Tensor([1.0, 2.0], requires_grad=True)
         with T.no_grad():
             y = x * 3.0
-        assert y._backward is None and not y.requires_grad
+        assert y._node is None and not y.requires_grad
 
     def test_detach_blocks_gradient(self):
         x = T.Tensor([2.0], requires_grad=True)
@@ -252,6 +255,16 @@ class TestRelease:
         assert ref() is None  # the live ``loss`` no longer reaches it
         assert np.array_equal(x.grad, 8.0 * np.arange(4.0))
 
+    def test_output_no_backward_reads_is_freed_before_backward(self):
+        x = T.Tensor(np.arange(4.0), requires_grad=True)
+        h = x * 2.0
+        loss = T.tsum(h + 1.0)
+        ref = weakref.ref(h.data)
+        del h
+        assert ref() is None  # ``add`` keeps shapes only
+        loss.backward()
+        assert np.array_equal(x.grad, np.full(4, 2.0))
+
     def test_second_backward_raises(self):
         x = T.Tensor(np.arange(3.0), requires_grad=True)
         h = T.exp(x)
@@ -285,6 +298,91 @@ BINARY_OPS = {
 }
 
 
+class TestBackwardSeed:
+    def test_seed_must_have_the_output_shape(self):
+        x = T.Tensor(np.arange(3.0), requires_grad=True)
+        for shape in [(2, 3), (1,), (4,), ()]:
+            with pytest.raises(ShapeError, match="seed"):
+                (x * 2.0).backward(np.ones(shape))
+        assert x.grad is None
+        (x * 2.0).backward([1.0, 2.0, 3.0])
+        assert np.array_equal(x.grad, [2.0, 4.0, 6.0])
+
+
+def _leaf(rng, *shape, low=None):
+    data = rng.normal(size=shape) if low is None else rng.uniform(low, 2.0, size=shape)
+    return T.Tensor(data, requires_grad=True)
+
+
+# Every taped op, on leaves that all need a gradient: the closures then keep the most.
+TAPED_OPS = {
+    "add": lambda r: T.add(_leaf(r, 3, 4), _leaf(r, 4)),
+    "sub": lambda r: T.sub(_leaf(r, 3, 4), _leaf(r, 3, 1)),
+    "mul": lambda r: T.mul(_leaf(r, 3, 4), _leaf(r, 4)),
+    "div": lambda r: T.div(_leaf(r, 3, 4), _leaf(r, 3, 4, low=0.5)),
+    "maximum": lambda r: T.maximum(_leaf(r, 3, 4), _leaf(r, 3, 4)),
+    "neg": lambda r: T.neg(_leaf(r, 3, 4)),
+    "power": lambda r: T.power(_leaf(r, 3, 4, low=0.5), 1.5),
+    "exp": lambda r: T.exp(_leaf(r, 3, 4)),
+    "log": lambda r: T.log(_leaf(r, 3, 4, low=0.5)),
+    "sqrt": lambda r: T.sqrt(_leaf(r, 3, 4, low=0.5)),
+    "tanh": lambda r: T.tanh(_leaf(r, 3, 4)),
+    "sigmoid": lambda r: T.sigmoid(_leaf(r, 3, 4)),
+    "silu": lambda r: T.silu(_leaf(r, 3, 4)),
+    "xlogx": lambda r: T.xlogx(_leaf(r, 3, 4, low=0.0)),
+    "reshape": lambda r: T.reshape(_leaf(r, 3, 4), (4, 3)),
+    "swapaxes": lambda r: T.swapaxes(_leaf(r, 2, 3, 4), 0, 2),
+    "take": lambda r: T.take(_leaf(r, 3, 4), (slice(1, None), 2)),
+    "concat": lambda r: T.concat([_leaf(r, 2, 4), _leaf(r, 3, 4)], axis=0),
+    "stack": lambda r: T.stack([_leaf(r, 3, 4), _leaf(r, 3, 4)], axis=1),
+    "tsum": lambda r: T.tsum(_leaf(r, 3, 4), axis=1),
+    "tmean": lambda r: T.tmean(_leaf(r, 3, 4), axis=0, keepdims=True),
+    "matmul": lambda r: T.matmul(_leaf(r, 2, 3, 4), _leaf(r, 4, 5)),
+    "matmul_batched": lambda r: T.matmul(_leaf(r, 2, 3, 4), _leaf(r, 2, 4, 5)),
+    "linear": lambda r: T.linear(_leaf(r, 2, 3, 4), _leaf(r, 4, 5), _leaf(r, 5)),
+    "softmax": lambda r: T.softmax(_leaf(r, 3, 4), axis=0),
+    "dft_real": lambda r: T.dft_real(_leaf(r, 3, 8))[1],
+    "layer_norm": lambda r: M.layer_norm(_leaf(r, 3, 8), _leaf(r, 8), _leaf(r, 8)),
+    "tanh_l1_graph": lambda r: G.tanh_l1_graph(_leaf(r, 2, 6, 6)).weights,
+    "knn_sparsify": lambda r: G.knn_sparsify(G.SignedGraph(_leaf(r, 2, 6, 6)), 3).weights,
+}
+
+
+def _captured(fn):
+    """Every object a function's closure reaches, through nested closures and containers."""
+    found, stack = {}, [fn]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in found:
+            continue
+        found[id(obj)] = obj
+        if isinstance(obj, (tuple, list)):
+            stack += obj
+        elif callable(obj):
+            stack += [cell.cell_contents for cell in getattr(obj, "__closure__", None) or ()]
+    return list(found.values())
+
+
+class TestTapeKeepsArraysOnly:
+    def test_every_taped_op_is_listed(self):
+        taped = {name for name, f in vars(T).items() if inspect.isfunction(f)
+                 and not name.startswith("_") and "_node" in f.__code__.co_names}
+        assert taped <= TAPED_OPS.keys()
+
+    @pytest.mark.parametrize("name", sorted(TAPED_OPS))
+    def test_no_closure_holds_a_tensor(self, name):
+        out = TAPED_OPS[name](np.random.default_rng(13))
+        nodes, stack = [], [out._node]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            stack += [p for p in node.parents if isinstance(p, T._Node)]
+        for node in nodes:
+            held = _captured(node.backward)
+            assert not [type(o).__name__ for o in held if isinstance(o, (T.Tensor, T._Node))]
+        out.backward(np.ones(out.shape))  # and the closures still compute the gradients
+
+
 class TestConstantOperands:
     @pytest.mark.parametrize("name", sorted(BINARY_OPS))
     @pytest.mark.parametrize("shapes", [((2, 3, 3), (3, 3)), ((2, 3, 3), (1, 3, 3))])
@@ -297,8 +395,8 @@ class TestConstantOperands:
         def grads(x_first, constant_needs_grad):
             x, c = T.Tensor(xa, requires_grad=True), T.Tensor(ca, requires_grad=constant_needs_grad)
             if x_first:
-                return op(x, c)._backward(g)
-            return op(c, x)._backward(g)[::-1]  # (grad of x, grad of c)
+                return op(x, c)._node.backward(g)
+            return op(c, x)._node.backward(g)[::-1]  # (grad of x, grad of c)
 
         for x_first in (True, False):
             gx, gc = grads(x_first, False)

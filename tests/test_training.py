@@ -126,6 +126,20 @@ class TestTotalLoss:
             TR.TrainConfig(learning_rate=value)
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 2.5), ("batch_size", 8.0), ("patience", True), ("seed", 1.5),
+        ("seed", -1), ("epochs", "3"), ("learning_rate", "x"), ("learning_rate", True),
+        ("lam", "x"), ("lam", False),
+    ])
+    def test_train_config_rejects_wrong_types(self, field, value):
+        with pytest.raises(ConfigError, match="lambda" if field == "lam" else field):
+            TR.TrainConfig(**{field: value})
+
+    def test_train_config_keeps_integers_as_ints(self):
+        cfg = TR.TrainConfig(epochs=np.int64(2), batch_size=np.int32(8), seed=np.int64(0))
+        assert [type(v) for v in (cfg.epochs, cfg.batch_size, cfg.seed)] == [int, int, int]
+
+
 class TestEvaluate:
     class _Oracle:
         """Duck-typed stand-in whose forward returns preset answers."""

@@ -46,21 +46,25 @@ def strided_windows(n_windows, n_vars, length, seed=0):
 
 
 def tape_bytes(out) -> int:
-    """Bytes of the distinct arrays that the graph behind ``out`` keeps alive.
+    """Bytes of the distinct arrays that the tape behind ``out`` keeps alive.
 
-    Walks ``_parents`` from ``out``; at each node it counts the node's data and
-    every array in its backward closure's cells, following closures nested in
-    them. Views count as their base array, and each base array counts once.
-    Call it before ``backward()``, which releases the graph.
+    Walks the tape nodes from ``out``'s node. At each node it counts every
+    array in its backward closure's cells, following closures nested in them,
+    and the data of each leaf the node links to; a Tensor found in a cell
+    counts with its data and its node. ``out``'s own data is the caller's, not
+    the tape's. Views count as their base array, and each base array counts
+    once. Call it before ``backward()``, which releases the tape.
     """
-    bases, seen, stack = {}, {}, [out]
+    bases, seen, stack = {}, {}, [out._node]
     while stack:
         obj = stack.pop()
-        if id(obj) in seen:
+        if obj is None or id(obj) in seen:
             continue
         seen[id(obj)] = obj  # keeps obj alive, so its id is not reused mid-walk
-        if isinstance(obj, T.Tensor):
-            stack += [obj.data, obj._backward, *obj._parents]
+        if isinstance(obj, T._Node):
+            stack += [obj.backward, *obj.parents]
+        elif isinstance(obj, T.Tensor):
+            stack += [obj.data, obj._node]
         elif isinstance(obj, np.ndarray):
             while isinstance(obj.base, np.ndarray):
                 obj = obj.base
