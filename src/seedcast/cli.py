@@ -8,6 +8,7 @@ import itertools
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -63,7 +64,7 @@ def _load_dataset(args) -> D.Dataset:
     reg = _registry_with_overrides(args)
     name = args.dataset or os.path.splitext(os.path.basename(args.data))[0]
     entry = reg.get(name, {})
-    date_col = args.date_col or bool(entry.get("date_col", False))
+    date_col = args.date_col or entry.get("date_col", False)
     ds = D.load_csv(args.data, date_col=date_col, name=name)
     if args.split:
         ds.split_ratio = D.parse_ratio(args.split)
@@ -83,32 +84,10 @@ def _load_dataset(args) -> D.Dataset:
     return ds
 
 
-def _model_config(args, n_vars: int) -> ModelConfig:
-    return ModelConfig(
-        lookback=args.lookback,
-        horizon=args.horizon,
-        patch_len=args.patch_len,
-        d_model=args.d_model,
-        heads=args.heads,
-        knn_k=args.knn_k,
-        pool=args.pool,
-        lam=args.lam,
-        n_layers=args.layers,
-        variant=args.variant,
-        seed=args.seed,
-        n_vars=n_vars,
-    )
-
-
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch,
-        learning_rate=args.lr,
-        lam=args.lam,
-        patience=args.patience,
-        seed=args.seed,
-    )
+def _config(cls, args, **given):
+    """A ``cls`` config from the flags named after its fields; ``given`` sets the rest."""
+    flags = {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+    return cls(**flags | given)
 
 
 def _manifest(config: ModelConfig, tcfg: TrainConfig, ds: D.Dataset, args) -> dict:
@@ -139,8 +118,8 @@ def _write_json(path: str, payload: dict):
 
 def cmd_train(args) -> int:
     ds = _load_dataset(args)
-    config = _model_config(args, ds.n_vars)
-    tcfg = _train_config(args)
+    config = _config(ModelConfig, args, n_vars=ds.n_vars)
+    tcfg = _config(TrainConfig, args)
     splits = D.make_splits(ds, config.lookback, config.horizon,
                            standardize=not args.no_standardize)
     model = SeedModel(config)
@@ -221,15 +200,13 @@ def cmd_analyze(args) -> int:
 
 def cmd_ablate(args) -> int:
     ds = _load_dataset(args)
-    tcfg = _train_config(args)
+    tcfg = _config(TrainConfig, args)
     splits = D.make_splits(ds, args.lookback, args.horizon,
                            standardize=not args.no_standardize)
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for variant in ("full",) + tuple(v for v in VARIANTS if v != "full"):
-        args.variant = variant
-        config = _model_config(args, ds.n_vars)
-        model = SeedModel(config)
+        model = SeedModel(_config(ModelConfig, args, n_vars=ds.n_vars, variant=variant))
         model, report = train(model, splits, tcfg)
         rows.append((variant, repr(report.mse), repr(report.mae)))
         print(f"{variant:10s} mse={report.mse:.6f} mae={report.mae:.6f} "
@@ -271,13 +248,13 @@ def _add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--variant", choices=VARIANTS, default="full")
     p.add_argument("--lambda", dest="lam", type=float, default=0.1,
                    help="weight of the entropy-matching loss")
-    p.add_argument("--layers", type=int, default=2)
+    p.add_argument("--layers", dest="n_layers", type=int, default=2)
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
     p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--batch", dest="batch_size", type=int, default=32)
+    p.add_argument("--lr", dest="learning_rate", type=float, default=1e-3)
     p.add_argument("--patience", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="seedcast_out")

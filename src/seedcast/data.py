@@ -12,25 +12,36 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, InputError
+from .model import finite_real
 from .rng import RngState
 from .training import DatasetSplits, SplitWindows
 
 # Benchmark split conventions: ETT family 6:2:2, the larger long-horizon
 # sets 7:1:2, the traffic-sensor sets 3:1:1. All carry a leading date column.
 REGISTRY: dict[str, dict] = {
-    "ETTh1": {"split": (6, 2, 2), "dim": 7, "freq": "1 hour", "date_col": True},
-    "ETTh2": {"split": (6, 2, 2), "dim": 7, "freq": "1 hour", "date_col": True},
-    "ETTm1": {"split": (6, 2, 2), "dim": 7, "freq": "15 min", "date_col": True},
-    "ETTm2": {"split": (6, 2, 2), "dim": 7, "freq": "15 min", "date_col": True},
-    "Weather": {"split": (7, 1, 2), "dim": 21, "freq": "10 min", "date_col": True},
-    "ECL": {"split": (7, 1, 2), "dim": 321, "freq": "1 hour", "date_col": True},
-    "Traffic": {"split": (7, 1, 2), "dim": 862, "freq": "1 hour", "date_col": True},
-    "Solar": {"split": (7, 1, 2), "dim": 137, "freq": "10 min", "date_col": True},
-    "PEMS03": {"split": (3, 1, 1), "dim": 358, "freq": "5 min", "date_col": True},
-    "PEMS04": {"split": (3, 1, 1), "dim": 307, "freq": "5 min", "date_col": True},
-    "PEMS07": {"split": (3, 1, 1), "dim": 883, "freq": "5 min", "date_col": True},
-    "PEMS08": {"split": (3, 1, 1), "dim": 170, "freq": "5 min", "date_col": True},
+    "ETTh1": {"split": (6, 2, 2), "dim": 7, "date_col": True},
+    "ETTh2": {"split": (6, 2, 2), "dim": 7, "date_col": True},
+    "ETTm1": {"split": (6, 2, 2), "dim": 7, "date_col": True},
+    "ETTm2": {"split": (6, 2, 2), "dim": 7, "date_col": True},
+    "Weather": {"split": (7, 1, 2), "dim": 21, "date_col": True},
+    "ECL": {"split": (7, 1, 2), "dim": 321, "date_col": True},
+    "Traffic": {"split": (7, 1, 2), "dim": 862, "date_col": True},
+    "Solar": {"split": (7, 1, 2), "dim": 137, "date_col": True},
+    "PEMS03": {"split": (3, 1, 1), "dim": 358, "date_col": True},
+    "PEMS04": {"split": (3, 1, 1), "dim": 307, "date_col": True},
+    "PEMS07": {"split": (3, 1, 1), "dim": 883, "date_col": True},
+    "PEMS08": {"split": (3, 1, 1), "dim": 170, "date_col": True},
 }
+
+
+def _check_ratio(ratio) -> tuple:
+    """``ratio`` as a tuple; InputError unless it is three finite reals >= 0 with a sum > 0."""
+    ratio = tuple(ratio)
+    if len(ratio) != 3 or not all(finite_real(r) for r in ratio):
+        raise InputError(f"split ratio must be three finite numbers, got {ratio!r}")
+    if any(r < 0 for r in ratio) or sum(ratio) <= 0:
+        raise InputError(f"split ratio must be nonnegative and nonzero, got {ratio!r}")
+    return ratio
 
 
 def parse_ratio(text: str) -> tuple[float, float, float]:
@@ -38,12 +49,10 @@ def parse_ratio(text: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise InputError(f"split ratio must look like 6:2:2, got {text!r}")
     try:
-        ratio = tuple(float(p) for p in parts)
+        ratio = [float(p) for p in parts]
     except ValueError:
         raise InputError(f"split ratio must be numeric, got {text!r}") from None
-    if any(r < 0 for r in ratio) or sum(ratio) <= 0:
-        raise InputError(f"split ratio must be nonnegative and nonzero, got {text!r}")
-    return ratio
+    return _check_ratio(ratio)
 
 
 def load_registry_file(path: str) -> dict[str, dict]:
@@ -65,21 +74,18 @@ def load_registry_file(path: str) -> dict[str, dict]:
     out = {}
     for name, entry in raw.items():
         split = entry.get("split") if isinstance(entry, dict) else None
-        if isinstance(split, str):
-            try:
-                split = parse_ratio(split)
-            except InputError as exc:
-                raise DataError(f"{path}: dataset {name!r}: {exc}") from None
-        elif not (isinstance(split, list) and len(split) == 3
-                  and all(isinstance(r, (int, float)) for r in split)):
+        if not isinstance(split, (str, list)):
             raise DataError(f'{path}: dataset {name!r} needs a table with split "a:b:c" '
                             "or [a, b, c]")
-        out[name] = {
-            "split": tuple(split),
-            "date_col": bool(entry.get("date_col", False)),
-            "dim": entry.get("dim"),
-            "freq": entry.get("freq", ""),
-        }
+        try:
+            split = parse_ratio(split) if isinstance(split, str) else _check_ratio(split)
+        except InputError as exc:
+            raise DataError(f"{path}: dataset {name!r}: {exc}") from None
+        date_col = entry.get("date_col", False)
+        if not isinstance(date_col, bool):
+            raise DataError(f"{path}: dataset {name!r}: date_col must be true or false, "
+                            f"got {date_col!r}")
+        out[name] = {"split": split, "date_col": date_col, "dim": entry.get("dim")}
     return out
 
 
@@ -88,7 +94,6 @@ class Dataset:
     name: str
     values: np.ndarray  # (time, C)
     split_ratio: tuple[float, float, float] | None = None
-    frequency: str = ""
     columns: list[str] = field(default_factory=list)
     rejected_rows: int = 0
 
@@ -140,7 +145,6 @@ def load_csv(path: str, date_col: bool = False, name: str | None = None) -> Data
         name=name,
         values=np.ascontiguousarray(values),
         split_ratio=entry.get("split"),
-        frequency=entry.get("freq", ""),
         columns=columns,
         rejected_rows=rejected,
     )
@@ -211,10 +215,15 @@ def write_csv(path: str, values: np.ndarray, columns: list[str] | None = None):
             writer.writerow([repr(float(v)) for v in row])  # shortest exact round-trip
 
 
-def split_bounds(n: int, ratio) -> tuple[int, int]:
-    """Boundary indices (train_end, val_end); rounding favors the train segment."""
-    a, b, c = ratio
-    total = a + b + c
+def split_bounds(dataset: Dataset, ratio=None) -> tuple[int, int]:
+    """(train_end, val_end) by ``ratio`` or else the dataset's own; rounding favors train."""
+    ratio = ratio if ratio is not None else dataset.split_ratio
+    if ratio is None:
+        raise DataError(
+            f"dataset {dataset.name!r} is not in the registry; pass an explicit split"
+        )
+    a, b, c = _check_ratio(ratio)
+    n, total = len(dataset), a + b + c
     n_val = int(n * b / total)
     n_test = int(n * c / total)
     return n - n_val - n_test, n - n_test
@@ -222,26 +231,18 @@ def split_bounds(n: int, ratio) -> tuple[int, int]:
 
 def split(dataset: Dataset, ratio=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Chronological, non-overlapping train/val/test segments."""
-    ratio = ratio if ratio is not None else dataset.split_ratio
-    if ratio is None:
-        raise DataError(
-            f"dataset {dataset.name!r} is not in the registry; pass an explicit split"
-        )
-    a, b = split_bounds(len(dataset), ratio)
+    a, b = split_bounds(dataset, ratio)
     v = dataset.values
     return v[:a], v[a:b], v[b:]
 
 
-def window_arrays(segment: np.ndarray, lookback: int, horizon: int, stride: int = 1
-                  ) -> SplitWindows:
-    """Every ``stride``-th window of a segment, oldest first: x (M,C,L) and y (M,C,T).
+def window_arrays(segment: np.ndarray, lookback: int, horizon: int) -> SplitWindows:
+    """Every window of a segment, one per start step, oldest first: x (M,C,L) and y (M,C,T).
 
     Both are read-only strided views of ``segment``, so they cost no memory
     beyond it. Code that reduces over a window copies its batch first (see
     ``SeedModel.forward``), since numpy sums a strided axis in another order.
     """
-    if stride < 1:
-        raise InputError(f"stride must be >= 1, got {stride}")
     segment = np.asarray(segment, dtype=np.float64)
     n = segment.shape[0]
     if n < lookback + horizon:
@@ -249,8 +250,7 @@ def window_arrays(segment: np.ndarray, lookback: int, horizon: int, stride: int 
             f"segment length {n} < lookback + horizon ({lookback + horizon})"
         )
     view = np.lib.stride_tricks.sliding_window_view(segment, lookback + horizon, axis=0)
-    view = view[::stride]  # (M, C, L+T)
-    return SplitWindows(x=view[..., :lookback], y=view[..., lookback:])
+    return SplitWindows(x=view[..., :lookback], y=view[..., lookback:])  # (M, C, L|T)
 
 
 def standardize_by_train(values: np.ndarray, train_end: int
@@ -263,28 +263,23 @@ def standardize_by_train(values: np.ndarray, train_end: int
 
 
 def make_splits(dataset: Dataset, lookback: int, horizon: int, ratio=None,
-                stride: int = 1, standardize: bool = True) -> DatasetSplits:
+                standardize: bool = True) -> DatasetSplits:
     """Windowed train/val/test splits ready for the training loop.
 
     Val/test lookbacks reach back into the preceding segment by exactly L
     steps (the usual protocol), so target timesteps stay disjoint across
     splits.
     """
-    ratio = ratio if ratio is not None else dataset.split_ratio
-    if ratio is None:
-        raise DataError(
-            f"dataset {dataset.name!r} is not in the registry; pass an explicit split"
-        )
     values = dataset.values
-    a, b = split_bounds(len(dataset), ratio)
+    a, b = split_bounds(dataset, ratio)
     if a < lookback + horizon:
         raise DataError(f"train segment ({a} steps) shorter than lookback + horizon")
     if standardize:
         values = standardize_by_train(values, a)[0]
     return DatasetSplits(
-        train=window_arrays(values[:a], lookback, horizon, stride),
-        val=window_arrays(values[max(0, a - lookback):b], lookback, horizon, stride),
-        test=window_arrays(values[max(0, b - lookback):], lookback, horizon, stride),
+        train=window_arrays(values[:a], lookback, horizon),
+        val=window_arrays(values[max(0, a - lookback):b], lookback, horizon),
+        test=window_arrays(values[max(0, b - lookback):], lookback, horizon),
     )
 
 
@@ -311,6 +306,5 @@ def synthetic_mixture(n_sine: int = 4, n_noise: int = 4, length: int = 4000,
         name="synthetic_mixture",
         values=np.stack(cols, axis=1),
         split_ratio=(7, 1, 2),
-        frequency="synthetic",
         columns=names,
     )

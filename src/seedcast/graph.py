@@ -49,16 +49,15 @@ def signed_distance(window: T.Tensor, q: T.Tensor, heads: int) -> T.Tensor:
     """Bilinear scores s_ij = x_i Q x_j^T per head: (..., n, D) -> (..., H, n, n).
 
     The (d_h, d_h) form Q is shared across heads and unconstrained, so the
-    scores (and the graph) are generally asymmetric. Head width is
-    floor(D/heads); spare features are ignored.
+    scores (and the graph) are generally asymmetric. The heads split D evenly.
     """
     d = window.shape[-1]
-    if heads > d:
-        raise ConfigError(f"gcn heads ({heads}) exceed feature width ({d})")
+    if d % heads != 0:
+        raise ConfigError(f"graph heads ({heads}) must divide feature width ({d})")
     d_h = d // heads
     if q.shape[-1] != d_h or q.shape[-2] != d_h:
         raise ShapeError(f"distance form is {q.shape}, expected trailing ({d_h}, {d_h})")
-    xh = split_heads(window[..., : heads * d_h], heads)  # (..., H, n, d_h)
+    xh = split_heads(window, heads)  # (..., H, n, d_h)
     return T.matmul(T.matmul(xh, q), T.swapaxes(xh, -1, -2))
 
 

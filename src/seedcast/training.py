@@ -26,18 +26,15 @@ def loss_pred(y, yhat: T.Tensor) -> T.Tensor:
     return (diff * diff).mean()
 
 
-def target_entropy(y: np.ndarray, chunk: int = 512) -> np.ndarray:
-    """Per-variable spectral entropy of fixed targets (no gradient, chunked)."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim == 1:  # one series: give it the leading axis the chunks run over
-        return target_entropy(y[None], chunk)[0]
-    out = np.empty(y.shape[:-1])
+def target_entropy(y: np.ndarray) -> np.ndarray:
+    """Spectral entropy of fixed targets (..., T) -> (...), without a gradient.
+
+    ``y`` is copied C-contiguous first, so a strided view scores like its
+    copy: numpy sums a strided axis in another order.
+    """
     with T.no_grad():
-        for i in range(0, y.shape[0], chunk):
-            out[i : i + chunk] = entropy_tensor(
-                T.Tensor(np.ascontiguousarray(y[i : i + chunk])), degenerate="zero"
-            ).data
-    return out
+        return entropy_tensor(T.Tensor(np.ascontiguousarray(y, dtype=np.float64)),
+                              degenerate="zero").data
 
 
 def loss_spen(y, yhat: T.Tensor) -> T.Tensor:
@@ -104,7 +101,6 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 32
     learning_rate: float = 1e-3
-    lam: float | None = None  # None: use the model config's lambda
     patience: int = 3
     seed: int = 0
 
@@ -114,8 +110,6 @@ class TrainConfig:
         if not finite_real(self.learning_rate) or self.learning_rate <= 0:
             raise ConfigError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
-        if self.lam is not None and (not finite_real(self.lam) or self.lam < 0):
-            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam!r}")
 
     def to_dict(self) -> dict:
         return config_dict(self)
@@ -160,13 +154,15 @@ class DatasetSplits:
 
 # -- evaluation -------------------------------------------------------------------
 
+EVAL_BATCH = 256  # windows per no-tape forward in evaluation
 
-def _forecast_batched(model: SeedModel, split: SplitWindows, batch: int = 256) -> np.ndarray:
-    """Forecasts for ``split.x``, one ``forward`` per ``batch`` windows."""
+
+def _forecast_batched(model: SeedModel, split: SplitWindows) -> np.ndarray:
+    """Forecasts for ``split.x``, one ``forward`` per ``EVAL_BATCH`` windows."""
     out = np.empty(split.y.shape)
     with T.no_grad():
-        for i in range(0, len(split), batch):
-            out[i : i + batch] = model.forward(split.x[i : i + batch]).data
+        for i in range(0, len(split), EVAL_BATCH):
+            out[i : i + EVAL_BATCH] = model.forward(split.x[i : i + EVAL_BATCH]).data
     return out
 
 
@@ -181,16 +177,16 @@ def _report(err: np.ndarray) -> MetricsReport:
     )
 
 
-def evaluate(model: SeedModel, split: SplitWindows, batch: int = 256) -> MetricsReport:
+def evaluate(model: SeedModel, split: SplitWindows) -> MetricsReport:
     """MSE/MAE over all windows of the split, on de-normalized values."""
     t0 = time.perf_counter()
-    report = _report(_forecast_batched(model, split, batch) - split.y)
+    report = _report(_forecast_batched(model, split) - split.y)
     report.seconds = time.perf_counter() - t0
     return report
 
 
-def validation_mse(model: SeedModel, split: SplitWindows, batch: int = 256) -> float:
-    yhat = _forecast_batched(model, split, batch)
+def validation_mse(model: SeedModel, split: SplitWindows) -> float:
+    yhat = _forecast_batched(model, split)
     return float(((yhat - split.y) ** 2).mean())
 
 
@@ -207,6 +203,7 @@ def train(model: SeedModel, splits: DatasetSplits, cfg: TrainConfig,
           on_epoch=None) -> tuple[SeedModel, MetricsReport]:
     """Adam with early stopping on validation MSE; restores the best checkpoint.
 
+    The loss weights its entropy-matching term by ``model.config.lam``.
     Deterministic given the seed: batch order comes from the config's RNG and
     every update is sequential. ``on_epoch(epoch, val_mse)``, when given, is
     called after each epoch's validation pass.
@@ -214,7 +211,6 @@ def train(model: SeedModel, splits: DatasetSplits, cfg: TrainConfig,
     for name, part in (("train", splits.train), ("val", splits.val), ("test", splits.test)):
         if len(part) == 0:
             raise DataError(f"{name} split has no windows")
-    lam = cfg.lam if cfg.lam is not None else model.config.lam
     rng = RngState(cfg.seed)
     opt = Adam(model.params(), cfg.learning_rate)
     t0 = time.perf_counter()
@@ -226,7 +222,8 @@ def train(model: SeedModel, splits: DatasetSplits, cfg: TrainConfig,
         order = rng.permutation(len(splits.train))
         for step, lo in enumerate(range(0, len(order), cfg.batch_size)):
             idx = order[lo : lo + cfg.batch_size]
-            loss = total_loss(splits.train.y[idx], model.forward(splits.train.x[idx]), lam)
+            loss = total_loss(splits.train.y[idx], model.forward(splits.train.x[idx]),
+                              model.config.lam)
             if not np.isfinite(loss.data):
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, step {step}"

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from seedcast import cli
 from seedcast import data as D
 from seedcast.model import ModelConfig, SeedModel
+from seedcast.training import TrainConfig
 
 TINY = ["--lookback", "16", "--horizon", "4", "--patch-len", "4",
         "--d-model", "8", "--heads", "2", "--layers", "1",
@@ -64,6 +67,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("flag, value, named", [
         ("--seed", "-1", "seed"), ("--lambda", "nan", "lambda"), ("--lr", "nan", "learning_rate"),
+        ("--split", "nan:1:1", "split ratio"),
     ])
     def test_train_rejects_before_training(self, tiny_csv, tmp_path, capsys, flag, value, named):
         out = tmp_path / "run"
@@ -138,6 +142,11 @@ class TestTrain:
         "scalar_entry.json": '{"x": 5}',
         "list.json": "[1]",
         "null_split.json": '{"x": {"split": null}}',
+        "zero_split.json": '{"x": {"split": [0, 0, 0]}}',
+        "nan_split.json": '{"x": {"split": [NaN, 1, 1]}}',
+        "negative_split.json": '{"x": {"split": [-1, 2, 2]}}',
+        "bool_split.json": '{"x": {"split": [true, 1, 1]}}',
+        "text_date_col.json": '{"x": {"split": [6, 2, 2], "date_col": "no"}}',
         "bad.toml": "[x\nsplit = ",
         "missing.json": None,
     }
@@ -152,6 +161,33 @@ class TestTrain:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and str(registry) in err and "Traceback" not in err
+
+
+class TestConfigFlags:
+    """Each config field has one flag whose dest is the field's name; the CLI copies nothing."""
+
+    NOT_FLAGS = {"n_vars", "detach_entropy"}  # taken from the data; library only
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_every_config_field_has_a_flag(self, command):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices[command]
+        dests = {a.dest for a in sub._actions if a.option_strings}
+        wanted = {f.name for cls in (ModelConfig, TrainConfig) for f in fields(cls)}
+        assert wanted - self.NOT_FLAGS <= dests, sorted(wanted - self.NOT_FLAGS - dests)
+        assert not self.NOT_FLAGS & dests
+
+    def test_lambda_sets_the_model_config_only(self, tiny_csv, tmp_path):
+        mse = {}
+        for lam in ("0", "0.5"):
+            out = tmp_path / f"lam{lam}"
+            assert run(["train", "--data", tiny_csv, "--split", "6:2:2", "--out", str(out)]
+                       + TINY + ["--lambda", lam]) == 0
+            mse[lam] = json.loads((out / "metrics.json").read_text())["mse"]
+            manifest = (out / "manifest.json").read_text()
+            assert json.loads(manifest)["model_config"]["lambda"] == float(lam)
+            assert manifest.count('"lambda"') == 1
+        assert mse["0"] != mse["0.5"]
 
 
 class TestEval:

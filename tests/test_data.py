@@ -21,19 +21,16 @@ class WindowSample:
     start: int
 
 
-def windows(segment: np.ndarray, lookback: int, horizon: int, stride: int = 1
-            ) -> list[WindowSample]:
+def windows(segment: np.ndarray, lookback: int, horizon: int) -> list[WindowSample]:
     """Oracle for ``D.window_arrays``: every sample as its own copy, chronological."""
     segment = np.asarray(segment, dtype=np.float64)
     n = segment.shape[0]
-    if stride < 1:
-        raise InputError(f"stride must be >= 1, got {stride}")
     if n < lookback + horizon:
         raise DataError(
             f"segment length {n} < lookback + horizon ({lookback + horizon})"
         )
     out = []
-    for s in range(0, n - lookback - horizon + 1, stride):
+    for s in range(n - lookback - horizon + 1):
         out.append(WindowSample(
             lookback=segment[s : s + lookback].T.copy(),
             target=segment[s + lookback : s + lookback + horizon].T.copy(),
@@ -226,6 +223,39 @@ class TestRegistry:
         with pytest.raises(InputError):
             D.parse_ratio("a:b:c")
 
+    @pytest.mark.parametrize("text", ["nan:1:1", "1:inf:1", "-1:2:2", "0:0:0"])
+    def test_parse_ratio_checks_values(self, text):
+        with pytest.raises(InputError, match="split ratio"):
+            D.parse_ratio(text)
+
+    @pytest.mark.parametrize("split", [
+        "[0, 0, 0]", "[NaN, 1, 1]", "[-1, 2, 2]", "[true, 1, 1]", "[1, 1]", '"nan:1:1"',
+    ])
+    def test_registry_file_checks_split(self, tmp_path, split):
+        path = tmp_path / "extra.json"
+        path.write_text('{"MyData": {"split": %s}}' % split)
+        with pytest.raises(DataError, match="split ratio") as exc:
+            D.load_registry_file(str(path))
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("date_col", ['"no"', "0", "null"])
+    def test_registry_date_col_must_be_bool(self, tmp_path, date_col):
+        path = tmp_path / "extra.json"
+        path.write_text('{"MyData": {"split": [6, 2, 2], "date_col": %s}}' % date_col)
+        with pytest.raises(DataError, match="date_col") as exc:
+            D.load_registry_file(str(path))
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("ratio", [
+        (0, 0, 0), (float("nan"), 1, 1), (-1, 2, 2), (True, 1, 1), (6, 2),
+    ], ids=["zero", "nan", "negative", "bool", "two_parts"])
+    def test_explicit_ratio_is_checked(self, ratio):
+        ds = D.Dataset("t", np.zeros((200, 1)))
+        with pytest.raises(InputError, match="split ratio"):
+            D.make_splits(ds, 16, 4, ratio=ratio)
+        with pytest.raises(InputError, match="split ratio"):
+            D.split(ds, ratio=ratio)
+
 
 class TestWindows:
     def test_exact_fit_single_window(self):
@@ -235,10 +265,6 @@ class TestWindows:
     def test_stride_one_count(self):
         seg = np.zeros((200, 2))
         assert len(windows(seg, 96, 96)) == 9
-
-    def test_stride_eight_count(self):
-        seg = np.zeros((200, 2))
-        assert len(windows(seg, 96, 96, stride=8)) == 2
 
     def test_too_short(self):
         with pytest.raises(DataError):
@@ -267,24 +293,15 @@ class TestWindows:
             assert np.array_equal(arrs.x[i], w.lookback)
             assert np.array_equal(arrs.y[i], w.target)
 
-    @pytest.mark.parametrize("stride", [1, 3, 8])
-    def test_window_arrays_match_oracle(self, stride):
-        seg = np.random.default_rng(stride).normal(size=(57, 3))
-        ws = windows(seg, 8, 4, stride=stride)
-        arrs = D.window_arrays(seg, 8, 4, stride=stride)
-        assert arrs.x.shape == (len(ws), 3, 8) and arrs.y.shape == (len(ws), 3, 4)
+    @pytest.mark.parametrize("horizon", [1, 3, 8])
+    def test_window_arrays_match_oracle(self, horizon):
+        seg = np.random.default_rng(horizon).normal(size=(57, 3))
+        ws = windows(seg, 8, horizon)
+        arrs = D.window_arrays(seg, 8, horizon)
+        assert arrs.x.shape == (len(ws), 3, 8) and arrs.y.shape == (len(ws), 3, horizon)
         assert np.array_equal(arrs.x, np.stack([w.lookback for w in ws]))
         assert np.array_equal(arrs.y, np.stack([w.target for w in ws]))
         assert np.array_equal(arrs.x[:, :, 0], seg[[w.start for w in ws]])
-
-    @pytest.mark.parametrize("stride", [0, -1])
-    def test_stride_below_one_rejected(self, stride):
-        seg = np.arange(20, dtype=float)[:, None]
-        with pytest.raises(InputError, match="stride"):
-            D.window_arrays(seg, 4, 2, stride=stride)
-        ds = D.Dataset("t", np.arange(200, dtype=float)[:, None], split_ratio=(6, 2, 2))
-        with pytest.raises(InputError, match="stride"):
-            D.make_splits(ds, 16, 4, stride=stride)
 
 
 def _root(a):

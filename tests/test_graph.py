@@ -105,6 +105,11 @@ class TestSignedDistance:
         with pytest.raises(ConfigError):
             G.signed_distance(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((1, 1))), heads=4)
 
+    def test_heads_must_divide_width(self):
+        # As in gcn and temporal_attention: no feature is left out of every head.
+        with pytest.raises(ConfigError, match="divide"):
+            G.signed_distance(T.Tensor(np.zeros((2, 5))), T.Tensor(np.zeros((2, 2))), heads=2)
+
 
 class TestSignSoftmaxGraph:
     def test_equal_magnitudes_opposite_signs(self):

@@ -77,8 +77,7 @@ class TestWindowLayout:
 
     def test_target_entropy(self):
         view, copy = strided_windows(40, 8, 96, seed=14)
-        assert np.array_equal(TR.target_entropy(view, chunk=16),
-                              TR.target_entropy(copy, chunk=16))
+        assert np.array_equal(TR.target_entropy(view), TR.target_entropy(copy))
 
     def test_loss_spen_and_loss_pred(self):
         view, copy = strided_windows(40, 8, 96, seed=15)
@@ -113,26 +112,21 @@ class TestTotalLoss:
             TR.total_loss(np.zeros((1, 4)), T.Tensor(np.zeros((1, 4))), -0.5)
 
     def test_train_config_checks_lambda(self):
-        with pytest.raises(ConfigError, match="lambda"):
-            TR.TrainConfig(lam=-0.5)
-        assert TR.TrainConfig(lam=None).lam is None
-        assert TR.TrainConfig(lam=0.0).lam == 0.0
+        # The loss weight lives in ModelConfig alone; train() reads it there.
+        with pytest.raises(TypeError, match="lam"):
+            TR.TrainConfig(lam=0.1)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_train_config_rejects_non_finite(self, value):
-        with pytest.raises(ConfigError, match="lambda"):
-            TR.TrainConfig(lam=value)
         with pytest.raises(ConfigError, match="learning_rate"):
             TR.TrainConfig(learning_rate=value)
-
 
     @pytest.mark.parametrize("field, value", [
         ("epochs", 2.5), ("batch_size", 8.0), ("patience", True), ("seed", 1.5),
         ("seed", -1), ("epochs", "3"), ("learning_rate", "x"), ("learning_rate", True),
-        ("lam", "x"), ("lam", False),
     ])
     def test_train_config_rejects_wrong_types(self, field, value):
-        with pytest.raises(ConfigError, match="lambda" if field == "lam" else field):
+        with pytest.raises(ConfigError, match=field):
             TR.TrainConfig(**{field: value})
 
     def test_train_config_keeps_integers_as_ints(self):
@@ -198,10 +192,12 @@ class TestEvaluate:
         sizes = []
         forward = model.forward
         model.forward = lambda x: sizes.append(len(x)) or forward(x)
-        report = TR.evaluate(model, split, batch=128)
-        assert sizes == [128, 128, 44]
+        report = TR.evaluate(model, split)
+        assert sizes == [256, 44]
         model.forward = forward
-        assert report.mse == TR.evaluate(model, split, batch=300).mse
+        with T.no_grad():
+            whole = model.forward(split.x).data
+        assert report.mse == float(((whole - split.y) ** 2).mean())
 
     def test_report_json_fields(self):
         report = TR.MetricsReport(1.0, 0.5, [1.0], [0.5], epochs=2, seconds=0.1)
@@ -248,6 +244,19 @@ class TestTrain:
         assert r1.mse == r2.mse and r1.mae == r2.mae
         assert r1.horizon_mse == r2.horizon_mse
         assert r1.epochs == r2.epochs
+
+    @pytest.mark.parametrize("lam", [0.0, 0.25])
+    def test_loss_weight_comes_from_the_model_config(self, lam, monkeypatch):
+        weights = []
+        total_loss = TR.total_loss
+
+        def spy(y, yhat, weight):
+            weights.append(weight)
+            return total_loss(y, yhat, weight)
+
+        monkeypatch.setattr(TR, "total_loss", spy)
+        TR.train(tiny_model(seed=4, lam=lam), tiny_sine_splits(), TR.TrainConfig(epochs=1))
+        assert len(weights) > 1 and set(weights) == {lam}
 
     def test_loss_decreases_over_first_epochs(self):
         splits = tiny_sine_splits()
