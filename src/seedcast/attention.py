@@ -36,10 +36,15 @@ def split_heads(x: T.Tensor, heads: int) -> T.Tensor:
     return T.swapaxes(x.reshape(x.shape[:-1] + (heads, d // heads)), -3, -2)
 
 
-def merge_heads(x: T.Tensor) -> T.Tensor:
-    """(..., H, N, dk) -> (..., N, H*dk)."""
-    h, n, dk = x.shape[-3], x.shape[-2], x.shape[-1]
-    return T.swapaxes(x, -3, -2).reshape(x.shape[:-3] + (n, h * dk))
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """``split_heads`` on an array, as a view; also the backward of ``_merge_heads``."""
+    return np.swapaxes(a.reshape(a.shape[:-1] + (heads, a.shape[-1] // heads)), -3, -2)
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """(..., H, N, dk) -> (..., N, H*dk), a copy; also the backward of ``_split_heads``."""
+    h, n, dk = a.shape[-3:]
+    return np.swapaxes(a, -3, -2).reshape(a.shape[:-3] + (n, h * dk))
 
 
 def temporal_attention(tokens: T.Tensor, params: AttentionParams) -> T.Tensor:
@@ -47,15 +52,48 @@ def temporal_attention(tokens: T.Tensor, params: AttentionParams) -> T.Tensor:
 
     tokens: (..., C, N, D); the variable axis rides along as a batch
     dimension, so channels never mix.
+
+    One tape node with parents ``(tokens, tokens, tokens, wq, bq, wk, bk, wv,
+    bv, wo, bo)``: it returns the q, k and v parts of the tokens' gradient
+    separately, so ``backward()`` sums them as it summed the gradients of
+    three projection nodes. The node keeps the tokens, the q/k/v heads and
+    the softmax output; its backward recomputes ``attn @ v`` and the merged
+    heads and takes the derivative of the projection, score, softmax and
+    output chain in that chain's own order.
     """
     d = tokens.shape[-1]
-    h = params.heads
+    p, h = params, params.heads
     if d % h != 0:
         raise ConfigError(f"attention heads ({h}) must divide d_model ({d})")
-    dk = d // h
-    q = split_heads(T.linear(tokens, params.wq, params.bq), h)
-    k = split_heads(T.linear(tokens, params.wk, params.bk), h)
-    v = split_heads(T.linear(tokens, params.wv, params.bv), h)
-    scores = T.matmul(q, T.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(dk))
-    attn = T.softmax(scores, axis=-1)
-    return T.linear(merge_heads(T.matmul(attn, v)), params.wo, params.bo)
+    projections = ((p.wq, p.bq), (p.wk, p.bk), (p.wv, p.bv), (p.wo, p.bo))
+    x, weights = tokens.data, [w.data for w, _ in projections]
+    q, k, v = (_split_heads(T._affine(x, w.data, b.data), h) for w, b in projections[:3])
+    scores = q @ np.swapaxes(k, -1, -2)
+    scale = 1.0 / np.sqrt(d // h)
+    scores *= scale
+    attn = T._softmax(scores)
+    del scores
+    out = T._affine(_merge_heads(attn @ v), weights[3], p.bo.data)
+    # Per projection: its bias shape, and which of (input, weight, bias) need a gradient.
+    b_shapes = [b.shape for _, b in projections]
+    need = [(tokens.requires_grad, w.requires_grad, b.requires_grad) for w, b in projections[:3]]
+    need_o = (True, p.wo.requires_grad, p.bo.requires_grad)  # its input is the merged heads
+
+    def _bw(g):
+        merged = _merge_heads(attn @ v) if need_o[1] else None
+        g_ctx, g_wo, g_bo = T._affine_grads(g, merged, weights[3], b_shapes[3], need_o)
+        del merged
+        g_ctx = _split_heads(g_ctx, h)
+        g_attn = g_ctx @ np.swapaxes(v, -1, -2)
+        g_v = np.swapaxes(attn, -1, -2) @ g_ctx
+        inner = (g_attn * attn).sum(axis=-1, keepdims=True)
+        g_scores = attn * (g_attn - inner)
+        g_scores *= scale
+        g_q = g_scores @ k
+        g_k = np.swapaxes(np.swapaxes(q, -1, -2) @ g_scores, -1, -2)
+        qkv = [T._affine_grads(_merge_heads(g_head), x, weights[i], b_shapes[i], need[i])
+               for i, g_head in enumerate((g_q, g_k, g_v))]
+        return (*(g_x for g_x, _, _ in qkv), *(g for _, g_w, g_b in qkv for g in (g_w, g_b)),
+                g_wo, g_bo)
+
+    return T._node(out, (tokens,) * 3 + tuple(t for pair in projections for t in pair), _bw)

@@ -85,7 +85,11 @@ def load_registry_file(path: str) -> dict[str, dict]:
         if not isinstance(date_col, bool):
             raise DataError(f"{path}: dataset {name!r}: date_col must be true or false, "
                             f"got {date_col!r}")
-        out[name] = {"split": split, "date_col": date_col, "dim": entry.get("dim")}
+        dim = entry.get("dim")
+        if dim is not None and (not isinstance(dim, int) or isinstance(dim, bool) or dim < 1):
+            raise DataError(f"{path}: dataset {name!r}: dim must be an integer >= 1, "
+                            f"got {dim!r}")
+        out[name] = {"split": split, "date_col": date_col, "dim": dim}
     return out
 
 

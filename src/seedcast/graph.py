@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import merge_heads, split_heads
+from .attention import _merge_heads, _split_heads, split_heads
 from .errors import ConfigError, ShapeError
 
 @dataclass
@@ -120,13 +120,15 @@ def knn_sparsify(graph: SignedGraph, k: int) -> SignedGraph:
     # Keep everything at or above the k-th largest |w|. Every row keeps at
     # least k entries that way, so more than k per row on average means some
     # row ties past its room; there, keep the lowest column indices.
-    kth = np.partition(absw, n - k, axis=-1)[..., n - k : n - k + 1]
+    # A copy of the k-th column, so that the partitioned array is freed at once.
+    kth = np.partition(absw, n - k, axis=-1)[..., n - k : n - k + 1].copy()
     mask = absw >= kth
     if np.count_nonzero(mask) > k * (mask.size // n):
         above = absw > kth
         tie = mask & ~above
         room = k - above.sum(axis=-1, keepdims=True)
         mask = above | (tie & (np.cumsum(tie, axis=-1, dtype=np.int32) <= room))
+    del absw
     w = graph.weights
     return SignedGraph(T._node(w.data * mask, (w,), lambda g: (g * mask,)), mask)
 
@@ -134,16 +136,32 @@ def knn_sparsify(graph: SignedGraph, k: int) -> SignedGraph:
 def gcn(window: T.Tensor, graph: SignedGraph, weight: T.Tensor) -> T.Tensor:
     """One signed graph convolution with residual: x + silu(G @ x_h @ W_h) per head.
 
-    ``weight`` holds the (H, d_h, d_h) per-head transforms W_h.
+    ``weight`` holds the (H, d_h, d_h) per-head transforms W_h. The head split
+    of ``window`` stays a taped view; the convolution after it is one tape
+    node with parents ``(graph.weights, x_h, weight)`` that keeps only those
+    three arrays. Its backward recomputes ``G @ x_h``, ``@ W_h`` and the
+    sigmoid, and takes the chain's derivative in that chain's own order.
     """
     d = window.shape[-1]
     heads = graph.weights.shape[-3]
     if d % heads != 0:
         raise ConfigError(f"gcn heads ({heads}) must divide feature width ({d})")
     xh = split_heads(window, heads)  # (..., H, n, d_h)
-    agg = T.matmul(graph.weights, xh)
-    out = merge_heads(T.silu(T.matmul(agg, weight)))
-    return window + out
+    gd, xd, wd = graph.weights.data, xh.data, weight.data
+    need_g, need_x, need_w = graph.weights.requires_grad, xh.requires_grad, weight.requires_grad
+
+    def _bw(g):
+        agg = gd @ xd
+        pre = agg @ wd
+        g = T._silu_grad(_split_heads(g, heads), pre, T._sigmoid(pre))
+        g_w = T._unbroadcast(np.swapaxes(agg, -1, -2) @ g, wd.shape) if need_w else None
+        g_agg = g @ np.swapaxes(wd, -1, -2)
+        return (T._unbroadcast(g_agg @ np.swapaxes(xd, -1, -2), gd.shape) if need_g else None,
+                T._unbroadcast(np.swapaxes(gd, -1, -2) @ g_agg, xd.shape) if need_x else None,
+                g_w)
+
+    conv = T._node(_merge_heads(T._silu(gd @ xd @ wd)), (graph.weights, xh, weight), _bw)
+    return window + conv
 
 
 def pool_windows(gcn_out: T.Tensor, mode: str = "mean") -> T.Tensor:

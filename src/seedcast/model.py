@@ -90,6 +90,9 @@ class ModelConfig:
             raise ConfigError(f"heads ({self.heads}) must divide d_model ({self.d_model})")
         if not finite_real(self.lam) or self.lam < 0:
             raise ConfigError(f"lambda must be finite and >= 0, got {self.lam!r}")
+        if self.lam > 0 and self.horizon < 2:
+            raise ConfigError("lambda > 0 needs horizon >= 2: the entropy-matching loss "
+                              "takes the spectral entropy of each forecast")
         if self.pool not in ("mean", "max"):
             raise ConfigError(f"pool must be mean or max, got {self.pool!r}")
         if self.variant not in VARIANTS:
@@ -220,6 +223,30 @@ def layer_norm(x: T.Tensor, gamma: T.Tensor, beta: T.Tensor, eps: float = 1e-5) 
         return g_xc + np.broadcast_to(T._unbroadcast(-g_xc, std.shape), shape) / d, g_gamma, g_beta
 
     return T._node(out, (x, gamma, beta), _bw)
+
+
+def feed_forward(h: T.Tensor, w1: T.Tensor, b1: T.Tensor, w2: T.Tensor,
+                 b2: T.Tensor) -> T.Tensor:
+    """``silu(h @ w1 + b1) @ w2 + b2`` as one tape node.
+
+    The node keeps ``h`` and the pre-activation, not the sigmoid or the SiLU
+    output: its backward recomputes both from the pre-activation and takes
+    the derivative of the linear, SiLU and linear chain in that chain's own
+    order.
+    """
+    hd, w1d, w2d, sb1, sb2 = h.data, w1.data, w2.data, b1.shape, b2.shape
+    need = [t.requires_grad for t in (h, w1, b1, w2, b2)]
+    pre = T._affine(hd, w1d, b1.data)
+
+    def _bw(g):
+        s = T._sigmoid(pre)
+        act = s * pre if need[3] else None
+        g_act, g_w2, g_b2 = T._affine_grads(g, act, w2d, sb2, (True, *need[3:]))
+        del act
+        g_h, g_w1, g_b1 = T._affine_grads(T._silu_grad(g_act, pre, s), hd, w1d, sb1, need[:3])
+        return g_h, g_w1, g_b1, g_w2, g_b2
+
+    return T._node(T._affine(T._silu(pre), w2d, b2.data), (h, w1, b1, w2, b2), _bw)
 
 
 def _learned_scalar(t, e, ent, lp: LayerParams) -> T.Tensor:
@@ -417,7 +444,7 @@ class SeedModel:
         e_feat = context_spatial_extract(x, lp.spatial) if lp.spatial is not None else None
         f = _FUSIONS[self.wiring["fusion"]](t_feat, e_feat, ent, lp)
         h = layer_norm(x + f, lp.ln1_g, lp.ln1_b)
-        ff = T.linear(T.silu(T.linear(h, lp.ff_w1, lp.ff_b1)), lp.ff_w2, lp.ff_b2)
+        ff = feed_forward(h, lp.ff_w1, lp.ff_b1, lp.ff_w2, lp.ff_b2)
         return layer_norm(h + ff, lp.ln2_g, lp.ln2_b)
 
     # -- checkpointing --------------------------------------------------------------

@@ -347,17 +347,39 @@ def tanh(a) -> Tensor:
     return _node(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-x))``, computed in one new array."""
+    s = np.negative(x)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
+
+
 def sigmoid(a) -> Tensor:
     a = _ensure(a)
-    out = 1.0 / (1.0 + np.exp(-a.data))
+    out = _sigmoid(a.data)
     return _node(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
-def silu(a) -> Tensor:
-    a = _ensure(a)
-    ad = a.data
-    s = 1.0 / (1.0 + np.exp(-ad))
-    return _node(ad * s, (a,), lambda g: (g * s * (1.0 + ad * (1.0 - s)),))
+def _silu(x: np.ndarray) -> np.ndarray:
+    """``x * sigmoid(x)``, computed in one new array."""
+    s = _sigmoid(x)
+    s *= x
+    return s
+
+
+def _silu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The gradient of ``x * sigmoid(x)`` for upstream ``g``, given ``s = sigmoid(x)``.
+
+    The same arithmetic, in the same order, as a SiLU that kept its sigmoid.
+    ``s`` is overwritten.
+    """
+    out = g * s
+    d = np.subtract(1.0, s, out=s)
+    d *= x
+    d += 1.0
+    out *= d
+    return out
 
 
 def xlogx(a, tiny: float = 1e-300) -> Tensor:
@@ -476,38 +498,61 @@ def matmul(a, b) -> Tensor:
         lambda g: _unbroadcast(np.swapaxes(ad, -1, -2) @ g, sb)))
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w + b`` for a (K, N) weight: one 2-D product over the collapsed batch axes."""
+    k, n = w.shape
+    out = (x.reshape(-1, k) @ w).reshape(x.shape[:-1] + (n,))
+    out += b
+    return out
+
+
+def _affine_grads(g, x, w, b_shape, need):
+    """The gradients of ``_affine(x, w, b)`` for upstream ``g``, as ``linear`` takes them.
+
+    Returns (x, w, b) gradients, None where ``need`` says no; ``x`` is read
+    only for the weight's.
+    """
+    k, n = w.shape
+    g2 = g.reshape(-1, n)
+    return ((g2 @ w.T).reshape(g.shape[:-1] + (k,)) if need[0] else None,
+            x.reshape(-1, k).T @ g2 if need[1] else None,
+            _unbroadcast(g, b_shape) if need[2] else None)
+
+
 def linear(x, w, b) -> Tensor:
     """``x @ w + b`` as one node, for a (K, N) weight and a bias that broadcasts to the output.
 
-    The node keeps ``w`` where ``x`` needs a gradient and ``x`` where ``w``
-    does; its gradients are those of the matmul-then-add chain, computed the
-    same way.
+    The node keeps ``w``, and ``x`` where ``w`` needs a gradient; its
+    gradients are those of the matmul-then-add chain, computed the same way.
     """
     x, w, b = _ensure(x), _ensure(w), _ensure(b)
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear needs (..., K) @ (K, N) operands, got {x.shape} @ {w.shape}")
-    k, n = w.shape
-    shape = x.shape[:-1] + (n,)
+    shape = x.shape[:-1] + (w.shape[1],)
     try:
         fits = np.broadcast_shapes(shape, b.shape) == shape
     except ValueError:
         fits = False
     if not fits:
         raise ShapeError(f"linear: bias {b.shape} does not broadcast to the output {shape}")
-    xd, wd, sx, sb = x.data, w.data, x.shape, b.shape
-    out = (xd.reshape(-1, k) @ wd).reshape(shape)
-    out += b.data
-    return _node(out, (x, w, b), _wanted(
-        (x, w, b), lambda g: (g.reshape(-1, n) @ wd.T).reshape(sx),
-        lambda g: xd.reshape(-1, k).T @ g.reshape(-1, n), lambda g: _unbroadcast(g, sb)))
+    wd, sb, need = w.data, b.shape, (x.requires_grad, w.requires_grad, b.requires_grad)
+    xd = x.data if need[1] else None
+    return _node(_affine(x.data, wd, b.data), (x, w, b),
+                 lambda g: _affine_grads(g, xd, wd, sb, need))
+
+
+def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """exp-normalization along ``axis`` with max-subtraction, in one new array."""
+    e = x - x.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def softmax(a, axis: int = -1) -> Tensor:
     """Row-stochastic exp-normalization, computed with max-subtraction."""
     a = _ensure(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = _softmax(a.data, axis)
 
     def _bw(g):
         inner = (g * out).sum(axis=axis, keepdims=True)

@@ -8,6 +8,7 @@ site of each fused op, so a test can monkeypatch the chains back in.
 
 import numpy as np
 
+from seedcast import attention as A
 from seedcast import graph as G
 from seedcast import model as M
 from seedcast import tensor as T
@@ -22,6 +23,40 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     return xc / T.sqrt(var + eps) * gamma + beta
+
+
+def silu(a):
+    """x * sigmoid(x) as one tape node that keeps its input and its sigmoid."""
+    ad = a.data
+    s = 1.0 / (1.0 + np.exp(-ad))
+    return T._node(ad * s, (a,), lambda g: (g * s * (1.0 + ad * (1.0 - s)),))
+
+
+def merge_heads(x):
+    """(..., H, N, dk) -> (..., N, H*dk) as a swapaxes node and a reshape node."""
+    h, n, dk = x.shape[-3], x.shape[-2], x.shape[-1]
+    return T.swapaxes(x, -3, -2).reshape(x.shape[:-3] + (n, h * dk))
+
+
+def temporal_attention(tokens, params):
+    h = params.heads
+    d = tokens.shape[-1]
+    q = A.split_heads(T.linear(tokens, params.wq, params.bq), h)
+    k = A.split_heads(T.linear(tokens, params.wk, params.bk), h)
+    v = A.split_heads(T.linear(tokens, params.wv, params.bv), h)
+    scores = T.matmul(q, T.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(d // h))
+    attn = T.softmax(scores, axis=-1)
+    return T.linear(merge_heads(T.matmul(attn, v)), params.wo, params.bo)
+
+
+def gcn(window, graph, weight):
+    xh = A.split_heads(window, graph.weights.shape[-3])
+    agg = T.matmul(graph.weights, xh)
+    return window + merge_heads(silu(T.matmul(agg, weight)))
+
+
+def feed_forward(h, w1, b1, w2, b2):
+    return T.linear(silu(T.linear(h, w1, b1)), w2, b2)
 
 
 def absolute(a):
@@ -62,6 +97,9 @@ ORACLES = (
     (M, "layer_norm", layer_norm),
     (G.GRAPH_BUILDERS, "tanh", tanh_l1_graph),
     (G, "knn_sparsify", knn_sparsify),
+    (M, "temporal_attention", temporal_attention),
+    (G, "gcn", gcn),
+    (M, "feed_forward", feed_forward),
 )
 
 

@@ -22,16 +22,16 @@ def make_params(d_model, heads, rng=None, scale=None):
 
 @pytest.fixture
 def softmax_outputs(monkeypatch):
-    """The output of every ``T.softmax`` call: in attention, its weights."""
+    """The output of every call of the shared softmax helper: in attention, its weights."""
     seen = []
-    softmax = T.softmax
+    softmax = T._softmax
 
-    def spy(a, axis=-1):
-        out = softmax(a, axis)
-        seen.append(out.data)
+    def spy(x, axis=-1):
+        out = softmax(x, axis)
+        seen.append(out)
         return out
 
-    monkeypatch.setattr(T, "softmax", spy)
+    monkeypatch.setattr(T, "_softmax", spy)
     return seen
 
 

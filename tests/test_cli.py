@@ -67,7 +67,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("flag, value, named", [
         ("--seed", "-1", "seed"), ("--lambda", "nan", "lambda"), ("--lr", "nan", "learning_rate"),
-        ("--split", "nan:1:1", "split ratio"),
+        ("--split", "nan:1:1", "split ratio"), ("--horizon", "1", "horizon"),
     ])
     def test_train_rejects_before_training(self, tiny_csv, tmp_path, capsys, flag, value, named):
         out = tmp_path / "run"
@@ -147,6 +147,10 @@ class TestTrain:
         "negative_split.json": '{"x": {"split": [-1, 2, 2]}}',
         "bool_split.json": '{"x": {"split": [true, 1, 1]}}',
         "text_date_col.json": '{"x": {"split": [6, 2, 2], "date_col": "no"}}',
+        "text_dim.json": '{"x": {"split": [6, 2, 2], "dim": "2"}}',
+        "float_dim.json": '{"x": {"split": [6, 2, 2], "dim": 2.5}}',
+        "bool_dim.json": '{"x": {"split": [6, 2, 2], "dim": true}}',
+        "zero_dim.json": '{"x": {"split": [6, 2, 2], "dim": 0}}',
         "bad.toml": "[x\nsplit = ",
         "missing.json": None,
     }

@@ -1,16 +1,18 @@
 """Fused ops against the op chains they replaced (tests/oracles.py).
 
-``linear``, ``layer_norm``, ``tanh_l1_graph`` and ``knn_sparsify`` each build
-one tape node with a hand-written backward. Their values and gradients must
-match the chains bit for bit, their gradients must pass a finite-difference
-check, their nodes must hang directly off their inputs, and they must keep
-fewer arrays on the tape than the chains did.
+``linear``, ``layer_norm``, ``tanh_l1_graph``, ``knn_sparsify``,
+``temporal_attention``, ``gcn`` and ``feed_forward`` each build one tape node
+with a hand-written backward. Their values and gradients must match the
+chains bit for bit, their gradients must pass a finite-difference check,
+their nodes must hang directly off their inputs, and they must keep fewer
+arrays on the tape than the chains did.
 """
 
 import numpy as np
 import pytest
 
 import oracles
+from seedcast import attention as A
 from seedcast import data as D
 from seedcast import graph as G
 from seedcast import model as M
@@ -184,6 +186,67 @@ class TestKnnSparsify:
         assert_grad_checks(_tanh_knn(3), [rng.normal(size=(2, 6, 6))], rng)
 
 
+def _attention(op, heads):
+    """``op`` over the tokens and the eight attention weights, in ``AttentionParams`` order."""
+    return lambda x, *weights: op(x, A.AttentionParams(*weights, heads=heads))
+
+
+def _gcn(op):
+    return lambda window, weights, w: op(window, G.SignedGraph(weights), w)
+
+
+def _attention_arrays(rng, x_shape):
+    d = x_shape[-1]
+    return ([rng.normal(size=x_shape)] + [rng.normal(size=(d, d)) * d**-0.5 for _ in range(4)]
+            + [rng.normal(size=d) for _ in range(4)])
+
+
+class TestTemporalAttention:
+    @pytest.mark.parametrize("x_shape, heads", [((3, 5, 4), 2), ((2, 3, 4, 8), 4), ((2, 1, 6), 1)])
+    def test_matches_oracle_and_grad_checks(self, x_shape, heads):
+        rng = np.random.default_rng(12)
+        arrays = _attention_arrays(rng, x_shape)
+        fused = _attention(A.temporal_attention, heads)
+        assert_matches_oracle(fused, _attention(oracles.temporal_attention, heads), arrays, rng)
+        assert_grad_checks(fused, arrays, rng)
+
+    def test_constant_tokens(self):
+        rng = np.random.default_rng(13)
+        arrays = _attention_arrays(rng, (2, 5, 4))
+        tokens = T.Tensor(arrays[0])
+        weights = [T.Tensor(a, requires_grad=True) for a in arrays[1:]]
+        out = A.temporal_attention(tokens, A.AttentionParams(*weights, heads=2))
+        assert out._node.parents[:3] == (None, None, None)
+        out.backward(rng.normal(size=out.shape))
+        _, want = _run(_attention(oracles.temporal_attention, 2), arrays, out.grad)
+        assert tokens.grad is None
+        for w, g in zip(weights, want[1:]):
+            np.testing.assert_array_equal(w.grad, g)
+
+
+class TestGcn:
+    @pytest.mark.parametrize("window_shape, heads", [((2, 3, 6, 4), 2), ((5, 8), 1), ((3, 4, 6), 3)])
+    def test_matches_oracle_and_grad_checks(self, window_shape, heads):
+        rng = np.random.default_rng(14)
+        n, d = window_shape[-2:]
+        arrays = [rng.normal(size=window_shape),
+                  rng.normal(size=window_shape[:-2] + (heads, n, n)) / n,
+                  rng.normal(size=(heads, d // heads, d // heads))]
+        assert_matches_oracle(_gcn(G.gcn), _gcn(oracles.gcn), arrays, rng)
+        assert_grad_checks(_gcn(G.gcn), arrays, rng)
+
+
+class TestFeedForward:
+    @pytest.mark.parametrize("h_shape, hidden", [((5, 4), 8), ((2, 3, 4, 6), 12)])
+    def test_matches_oracle_and_grad_checks(self, h_shape, hidden):
+        rng = np.random.default_rng(15)
+        d = h_shape[-1]
+        arrays = [rng.normal(size=h_shape), rng.normal(size=(d, hidden)), rng.normal(size=hidden),
+                  rng.normal(size=(hidden, d)), rng.normal(size=d)]
+        assert_matches_oracle(M.feed_forward, oracles.feed_forward, arrays, rng)
+        assert_grad_checks(M.feed_forward, arrays, rng)
+
+
 class TestTapeNodes:
     """Each fused op's output hangs directly off its inputs, and keeps few arrays."""
 
@@ -202,6 +265,19 @@ class TestTapeNodes:
         graph = G.tanh_l1_graph(scores)
         assert graph.weights._node.parents == (scores,)
         assert G.knn_sparsify(graph, 4).weights._node.parents == (graph.weights._node,)
+        x, *weights = self._leaves((3, 5, 4), *[(4, 4)] * 4, *[(4,)] * 4)
+        params = A.AttentionParams(*weights, heads=2)
+        assert A.temporal_attention(x, params)._node.parents == (
+            x, x, x, params.wq, params.bq, params.wk, params.bk, params.wv, params.bv,
+            params.wo, params.bo)
+        window, weights, w = self._leaves((3, 6, 4), (3, 2, 6, 6), (2, 2, 2))
+        node = G.gcn(window, G.SignedGraph(weights), w)._node  # window + convolution
+        conv = node.parents[1]
+        assert node.parents[0] is window and conv.parents[::2] == (weights, w)
+        head_split = conv.parents[1]  # swapaxes(reshape(window))
+        assert head_split.parents[0].parents == (window,)
+        h, w1, b1, w2, b2 = self._leaves((3, 5, 4), (4, 8), (8,), (8, 4), (4,))
+        assert M.feed_forward(h, w1, b1, w2, b2)._node.parents == (h, w1, b1, w2, b2)
 
     def test_tanh_knn_stage_keeps_two_graphs_beyond_the_scores(self):
         # The chain kept tanh, |tanh|, the quotient, a float mask and the
@@ -220,13 +296,40 @@ class TestTapeNodes:
         x, w, b = self._leaves((4, 5, 16), (16, 8), (8,))
         assert tape_bytes(T.linear(x, w, b)) == sum(t.data.nbytes for t in (x, w, b))
 
+    def test_attention_keeps_tokens_heads_and_weights(self):
+        # Tokens, q, k, v and the softmax output; not the merged heads.
+        x, *weights = self._leaves((3, 2, 5, 8), *[(8, 8)] * 4, *[(8,)] * 4)
+        out = A.temporal_attention(x, A.AttentionParams(*weights, heads=2))
+        attn = 3 * 2 * 2 * 5 * 5 * 8  # (3, 2, heads, 5, 5) float64
+        assert tape_bytes(out) == (4 * x.data.nbytes + attn
+                                   + sum(t.data.nbytes for t in weights))
+
+    def test_gcn_keeps_only_its_inputs(self):
+        window, weights, w = self._leaves((3, 6, 4), (3, 2, 6, 6), (2, 2, 2))
+        out = G.gcn(window, G.SignedGraph(weights), w)
+        assert tape_bytes(out) == window.data.nbytes + weights.data.nbytes + w.data.nbytes
+
+    def test_feed_forward_keeps_its_input_and_pre_activation(self):
+        h, w1, b1, w2, b2 = self._leaves((3, 5, 4), (4, 8), (8,), (8, 4), (4,))
+        pre = 2 * h.data.nbytes
+        assert tape_bytes(M.feed_forward(h, w1, b1, w2, b2)) == (
+            pre + sum(t.data.nbytes for t in (h, w1, b1, w2, b2)))
+
+    @staticmethod
+    def _default_step_tape(n_vars, batch):
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=(batch, n_vars, 96)), rng.normal(size=(batch, n_vars, 96))
+        return tape_bytes(TR.total_loss(y, SeedModel(ModelConfig(n_vars=n_vars)).forward(x), 0.1))
+
     def test_default_step_tape_at_21_variables(self):
         # One default-width `full` train step at train_weather21's shape. A tape
-        # whose nodes kept their outputs held 237.8 MiB here.
-        rng = np.random.default_rng(0)
-        x, y = rng.normal(size=(32, 21, 96)), rng.normal(size=(32, 21, 96))
-        loss = TR.total_loss(y, SeedModel(ModelConfig(n_vars=21)).forward(x), 0.1)
-        assert tape_bytes(loss) <= 150 * 2**20
+        # whose nodes kept their outputs held 237.8 MiB here, and 140.6 MiB while
+        # attention, GCN and FFN were chains of nodes.
+        assert self._default_step_tape(21, 32) <= 105 * 2**20
+
+    def test_default_step_tape_at_8_variables(self):
+        # The same at train_mixture8's shape: 156.0 MiB, then 90.1 MiB.
+        assert self._default_step_tape(8, 64) <= 64 * 2**20
 
 
 MICRO = dict(lookback=16, horizon=8, patch_len=4, d_model=8, heads=2,

@@ -85,6 +85,12 @@ class TestModelConfig:
         with pytest.raises(ConfigError, match="lambda"):
             micro_config(lam=lam)
 
+    def test_horizon_one_needs_zero_lambda(self):
+        # The entropy-matching loss takes the spectral entropy of a horizon-long forecast.
+        with pytest.raises(ConfigError, match="horizon >= 2"):
+            micro_config(horizon=1)
+        assert micro_config(horizon=1, lam=0.0).horizon == 1
+
     @pytest.mark.parametrize("kw", [dict(n_vars=0), dict(n_vars=-2, variant="re_f1"),
                                     dict(n_vars=-2, knn_k=3), dict(seed=-1)])
     def test_out_of_range_fields(self, kw):

@@ -4,11 +4,13 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import absolute
+from oracles import absolute, silu
+from seedcast import attention as A
 from seedcast import graph as G
 from seedcast import model as M
 from seedcast import tensor as T
 from seedcast.errors import InputError, NumericError, ShapeError
+from tests_helpers import attention_params
 
 
 def triple_loop_matmul(a, b):
@@ -109,7 +111,7 @@ class TestGradCheck:
     @pytest.mark.parametrize("op", [
         lambda t: T.tsum(T.exp(t)),
         lambda t: T.tsum(T.sigmoid(t)),
-        lambda t: T.tsum(T.silu(t)),
+        lambda t: T.tsum(silu(t)),
         lambda t: T.tsum(T.sqrt(absolute(t) + 1.0)),
         lambda t: T.tsum(T.log(absolute(t) + 0.5)),
         lambda t: T.tmean(t * t * t),
@@ -156,7 +158,7 @@ class TestGradCheck:
 
         def f(t):
             h = T.tanh(T.matmul(t, w1))
-            h = T.silu(T.matmul(h, w2))
+            h = silu(T.matmul(h, w2))
             return T.tsum(h * h)
 
         assert T.grad_check(f, T.Tensor(rng.normal(size=(5, 4))), eps=1e-5) < 1e-4
@@ -328,7 +330,7 @@ TAPED_OPS = {
     "sqrt": lambda r: T.sqrt(_leaf(r, 3, 4, low=0.5)),
     "tanh": lambda r: T.tanh(_leaf(r, 3, 4)),
     "sigmoid": lambda r: T.sigmoid(_leaf(r, 3, 4)),
-    "silu": lambda r: T.silu(_leaf(r, 3, 4)),
+    "silu": lambda r: silu(_leaf(r, 3, 4)),
     "xlogx": lambda r: T.xlogx(_leaf(r, 3, 4, low=0.0)),
     "reshape": lambda r: T.reshape(_leaf(r, 3, 4), (4, 3)),
     "swapaxes": lambda r: T.swapaxes(_leaf(r, 2, 3, 4), 0, 2),
@@ -345,6 +347,12 @@ TAPED_OPS = {
     "layer_norm": lambda r: M.layer_norm(_leaf(r, 3, 8), _leaf(r, 8), _leaf(r, 8)),
     "tanh_l1_graph": lambda r: G.tanh_l1_graph(_leaf(r, 2, 6, 6)).weights,
     "knn_sparsify": lambda r: G.knn_sparsify(G.SignedGraph(_leaf(r, 2, 6, 6)), 3).weights,
+    "temporal_attention": lambda r: A.temporal_attention(
+        _leaf(r, 2, 3, 4), attention_params(4, 2, r)),
+    "gcn": lambda r: G.gcn(_leaf(r, 2, 6, 4), G.SignedGraph(_leaf(r, 2, 2, 6, 6)),
+                           _leaf(r, 2, 2, 2)),
+    "feed_forward": lambda r: M.feed_forward(_leaf(r, 3, 4), _leaf(r, 4, 8), _leaf(r, 8),
+                                             _leaf(r, 8, 4), _leaf(r, 4)),
 }
 
 

@@ -15,7 +15,7 @@ from seedcast import training as TR
 from seedcast.errors import ConfigError, DataError, ShapeError
 from seedcast.model import ModelConfig, SeedModel
 from seedcast.spectral import spectral_entropy
-from tests_helpers import strided_windows
+from tests_helpers import strided_windows, tape_bytes
 
 
 class TestLossPred:
@@ -316,7 +316,7 @@ def _traced_peak(fn) -> int:
 
 
 class TestStepMemory:
-    def test_train_keeps_one_live_tape(self):
+    def test_train_keeps_one_live_tape(self, monkeypatch):
         rng = np.random.default_rng(0)
         t = np.arange(600)[:, None]
         values = np.sin(2 * np.pi * t / (6 + np.arange(4))) + 0.1 * rng.normal(size=(600, 4))
@@ -327,16 +327,23 @@ class TestStepMemory:
         model = SeedModel(cfg)
         idx = np.arange(batch)
 
-        def one_step():
-            TR.total_loss(splits.train.y[idx], model.forward(splits.train.x[idx]),
-                          cfg.lam).backward()
+        def loss():
+            return TR.total_loss(splits.train.y[idx], model.forward(splits.train.x[idx]),
+                                 cfg.lam)
 
-        step_peak = _traced_peak(one_step)
+        tape = tape_bytes(loss())
+        step_peak = _traced_peak(lambda: loss().backward())
         train_cfg = TR.TrainConfig(epochs=1, batch_size=batch, seed=0)
         assert len(splits.train) >= 4 * batch  # several steps, each after a finished one
+        # The epoch's no-tape passes over the validation and test windows, 3.5 batches
+        # each, keep no tape, but their transients can outgrow a step's peak: stub them,
+        # so that the steps set the epoch's peak.
+        monkeypatch.setattr(TR, "validation_mse", lambda model, split: 0.0)
+        monkeypatch.setattr(TR, "evaluate",
+                            lambda model, split: TR.MetricsReport(0.0, 0.0, [], []))
         epoch_peak = _traced_peak(lambda: TR.train(SeedModel(cfg), splits, train_cfg))
-        # Holding the previous step's tape while building the next reads 1.7x here.
-        assert epoch_peak < 1.5 * step_peak
+        # Holding the previous step's tape while building the next adds 0.7-0.9 tapes here.
+        assert epoch_peak < step_peak + tape / 2
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc policy")
     def test_freed_pages_stay_in_the_process(self):
