@@ -45,10 +45,9 @@ from .errors import (  # noqa: E402
     NumericError,
     ShapeError,
 )
-from .tensor import Tensor, grad_check, no_grad  # noqa: E402
+from .tensor import Tensor, no_grad  # noqa: E402
 from .rng import RngState  # noqa: E402
 from .spectral import (  # noqa: E402
-    ShapingFilter,
     SyntheticSpec,
     acf_entropy_study,
     autocorrelation,
@@ -74,9 +73,9 @@ __all__ = [
     "Adam", "ConfigError", "DataError", "Dataset",
     "DegenerateInputError", "DivergenceError", "InputError",
     "MetricsReport", "ModelConfig", "NumericError", "RngState", "SeedModel",
-    "ShapeError", "ShapingFilter", "SyntheticSpec", "Tensor", "TrainConfig",
+    "ShapeError", "SyntheticSpec", "Tensor", "TrainConfig",
     "acf_entropy_study", "apply_variant", "autocorrelation", "evaluate",
-    "generate_synthetic", "grad_check", "load_csv",
+    "generate_synthetic", "load_csv",
     "loss_pred", "loss_spen", "make_splits", "no_grad", "spectral_entropy",
     "split", "total_loss", "train",
 ]

@@ -33,7 +33,7 @@ from .errors import ConfigError, InputError
 from .fuser import blend, fuse, fusion_weights, patch_similarity
 from .graph import SpatialParams, context_spatial_extract, node_layout
 from .rng import RngState
-from .spectral import ShapingFilter, entropy_tensor
+from .spectral import entropy_tensor
 
 VARIANTS = (
     "full",
@@ -288,11 +288,10 @@ class SeedModel:
             self._params[name] = t = T.Tensor(init, requires_grad=True)
             return t
 
-        # The filter trains only through an attached entropy that the fusion reads.
-        self.filter = None
+        # The filter gain (1: a no-op) trains only through an attached entropy the fusion reads.
+        self.filter_gain = None
         if not config.detach_entropy and wiring["fusion"] in _ENTROPY_FUSIONS:
-            self.filter = ShapingFilter(L)
-            self._params["filter.gain"] = self.filter.gain
+            self.filter_gain = param("filter.gain", np.ones(L))
         self.embed = EmbedParams(param("embed.weight", rng.normal((P, D), P**-0.5)),
                                  param("embed.bias", np.zeros(D)), positional_encoding(N, D))
         self.layers: list[LayerParams] = []
@@ -342,9 +341,6 @@ class SeedModel:
 
     def params(self) -> list[T.Tensor]:
         return list(self.named_params().values())
-
-    def count_params(self) -> int:
-        return sum(p.size for p in self.params())
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self.named_params().items()}
@@ -424,8 +420,8 @@ class SeedModel:
         ent = None  # read only by the fusions in _ENTROPY_FUSIONS
         if self.wiring["fusion"] in _ENTROPY_FUSIONS:
             # Without a filter the entropy is a constant of the step: build no tape for it.
-            with T.no_grad() if self.filter is None else contextlib.nullcontext():
-                ent = entropy_tensor(T.Tensor(xn), self.filter, degenerate="zero")  # (B, C)
+            with T.no_grad() if self.filter_gain is None else contextlib.nullcontext():
+                ent = entropy_tensor(T.Tensor(xn), self.filter_gain, degenerate="zero")  # (B, C)
         tokens = patch_and_embed(xn, self.embed)  # (B, C, N, D)
         for lp in self.layers:
             tokens = self._encoder_layer(tokens, ent, lp)
@@ -436,7 +432,7 @@ class SeedModel:
         x, single = self._as_batch(window)
         xn = instance_normalize(x)[0]
         with T.no_grad():
-            ent = entropy_tensor(T.Tensor(xn), self.filter, degenerate="zero").data
+            ent = entropy_tensor(T.Tensor(xn), self.filter_gain, degenerate="zero").data
         return ent[0] if single else ent
 
     def _encoder_layer(self, x, ent, lp: LayerParams):

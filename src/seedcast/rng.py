@@ -28,8 +28,5 @@ class RngState:
     def normal(self, shape, scale: float = 1.0) -> np.ndarray:
         return self._gen.normal(0.0, scale, size=shape)
 
-    def integers(self, low: int, high: int, shape=None) -> np.ndarray:
-        return self._gen.integers(low, high, size=shape)
-
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)

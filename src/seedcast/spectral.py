@@ -1,10 +1,10 @@
 """Frequency-domain dependency evaluation.
 
-Per-variable normalized spectral entropy of the (optionally filtered) power
-spectrum: 0 means all energy in one bin (strong regularity, the variable
-predicts itself), 1 means a flat spectrum (noise-like, the variable needs
-outside context). Also houses the autocorrelation estimator and the
-synthetic noise-mixture generator used to study the ACF/entropy relation.
+Per-variable normalized spectral entropy of the power spectrum, optionally
+shaped by a learnable per-bin gain: 0 means all energy in one bin (strong
+regularity, the variable predicts itself), 1 means a flat spectrum (noise-like,
+the variable needs outside context). Also houses the autocorrelation estimator
+and the synthetic noise-mixture generator used to study the ACF/entropy relation.
 """
 
 from __future__ import annotations
@@ -19,26 +19,6 @@ from .errors import DegenerateInputError, InputError, ShapeError
 from .rng import RngState
 
 _ZERO_POWER = 1e-290
-
-
-class ShapingFilter:
-    """Learnable real per-frequency gain, applied to the spectrum before the PSD.
-
-    Initialized to 1 (a no-op) so training starts from the unfiltered
-    spectrum. The entropy reads only the filtered power gain^2 * |Z|^2, so a
-    real gain reaches every power response a complex one would.
-    """
-
-    def __init__(self, length: int):
-        if length < 2:
-            raise InputError(f"filter length must be >= 2, got {length}")
-        self.gain = T.Tensor(np.ones(length), requires_grad=True)
-
-    def __len__(self) -> int:
-        return self.gain.size
-
-    def params(self) -> list[T.Tensor]:
-        return [self.gain]
 
 
 @dataclass
@@ -66,25 +46,27 @@ class SyntheticSpec:
 
 def entropy_tensor(
     x: T.Tensor,
-    filt: ShapingFilter | None = None,
+    gain: T.Tensor | None = None,
     remove_mean: bool = True,
     degenerate: str = "error",
 ) -> T.Tensor:
     """Differentiable normalized spectral entropy along the last axis.
 
+    gain: the shaping filter, one real gain per frequency bin, shaped (L,);
+    the entropy then reads the power gain^2 * |Z|^2.
     degenerate: "error" raises on zero-power rows, "zero" maps them to
     entropy 0 (a constant is maximally self-predictable).
     """
     L = x.shape[-1]
     if L < 2:
         raise InputError(f"series length must be >= 2, got {L}")
-    if filt is not None and len(filt) != L:
-        raise ShapeError(f"filter length {len(filt)} != series length {L}")
+    if gain is not None and gain.shape != (L,):
+        raise ShapeError(f"filter gain has shape {gain.shape}, the series length is {L}")
     if remove_mean:
         x = x - x.mean(axis=-1, keepdims=True)
     re, im = T.dft_real(x)
-    if filt is not None:
-        re, im = re * filt.gain, im * filt.gain
+    if gain is not None:
+        re, im = re * gain, im * gain
     power = re * re + im * im
     total = power.sum(axis=-1, keepdims=True)
     dead = total.data < _ZERO_POWER
@@ -101,28 +83,25 @@ def entropy_tensor(
     return ent
 
 
-def spectral_entropy(
-    x, filt: ShapingFilter | None = None, remove_mean: bool = True
-) -> float:
+def spectral_entropy(x, remove_mean: bool = True) -> float:
     """Normalized spectral entropy of one series, in [0, 1]."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ShapeError(f"expected a 1-D series, got shape {x.shape}")
     with T.no_grad():
-        return float(entropy_tensor(T.Tensor(x), filt, remove_mean).data)
+        return float(entropy_tensor(T.Tensor(x), remove_mean=remove_mean).data)
 
 
 # -- autocorrelation -------------------------------------------------------------
 
 
-def autocovariance_biased(x, max_lag: int, remove_mean: bool = True) -> np.ndarray:
-    """Biased autocovariance r(tau) = (1/L) * sum_t x_t x_{t+tau}, tau = 0..max_lag."""
+def autocovariance_biased(x, max_lag: int) -> np.ndarray:
+    """Biased autocovariance (1/L) * sum_t x_t x_{t+tau} of x minus its mean, tau = 0..max_lag."""
     x = np.asarray(x, dtype=np.float64)
     L = x.shape[-1]
     if not 0 <= max_lag < L:
         raise InputError(f"max_lag must be in [0, {L - 1}], got {max_lag}")
-    if remove_mean:
-        x = x - x.mean(axis=-1, keepdims=True)
+    x = x - x.mean(axis=-1, keepdims=True)
     # Zero-pad to 2L so the circular correlation equals the linear one.
     pad = np.concatenate([x, np.zeros_like(x)], axis=-1)
     re, im = _fft.fft_complex(pad, np.zeros_like(pad))
@@ -134,33 +113,11 @@ def autocorrelation(x, max_lag: int) -> np.ndarray:
     """Normalized ACF (R(0)=1) of a mean-removed series, lags 1..max_lag."""
     if max_lag < 1:
         raise InputError(f"max_lag must be >= 1, got {max_lag}")
-    cov = autocovariance_biased(x, max_lag, remove_mean=True)
+    cov = autocovariance_biased(x, max_lag)
     r0 = cov[..., 0]
     if np.any(r0 < _ZERO_POWER):
         raise DegenerateInputError("zero-variance series has no autocorrelation")
     return cov[..., 1:] / r0[..., None] if cov.ndim > 1 else cov[1:] / r0
-
-
-def wiener_khinchin_pair(x) -> tuple[np.ndarray, np.ndarray]:
-    """DFT of the biased autocovariance vs. the periodogram, on a 2L grid.
-
-    Both sides of the identity PSD = DFT(ACF): the autocovariance for lags
-    0..L-1 laid out circularly over 2L bins, transformed; and
-    |DFT(zero-padded series)|^2 / L. Equal up to roundoff.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    L = x.shape[-1]
-    xc = x - x.mean()
-    cov = autocovariance_biased(xc, L - 1, remove_mean=False)
-    m = 2 * L
-    circ = np.zeros(m)
-    circ[:L] = cov
-    circ[m - L + 1:] = cov[1:][::-1]
-    lhs, _ = _fft.fft_complex(circ, np.zeros(m))
-    pad = np.concatenate([xc, np.zeros(L)])
-    re, im = _fft.fft_complex(pad, np.zeros(m))
-    rhs = (re * re + im * im) / L
-    return lhs, rhs
 
 
 # -- synthetic signals -------------------------------------------------------------

@@ -19,7 +19,7 @@ import numbers
 import numpy as np
 
 from . import fft as _fft
-from .errors import InputError, NumericError, ShapeError
+from .errors import InputError, ShapeError
 
 _GRAD_ENABLED = True
 
@@ -167,9 +167,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __pow__(self, p):
-        return power(self, p)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -316,35 +313,10 @@ def neg(a) -> Tensor:
     return _node(-a.data, (a,), lambda g: (-g,))
 
 
-def power(a, p) -> Tensor:
-    a = _ensure(a)
-    p = float(p)
-    ad = a.data
-    return _node(ad**p, (a,), lambda g: (g * p * ad ** (p - 1.0),))
-
-
-def exp(a) -> Tensor:
-    a = _ensure(a)
-    out = np.exp(a.data)
-    return _node(out, (a,), lambda g: (g * out,))
-
-
-def log(a) -> Tensor:
-    a = _ensure(a)
-    ad = a.data
-    return _node(np.log(ad), (a,), lambda g: (g / ad,))
-
-
 def sqrt(a) -> Tensor:
     a = _ensure(a)
     out = np.sqrt(a.data)
     return _node(out, (a,), lambda g: (g * 0.5 / out,))
-
-
-def tanh(a) -> Tensor:
-    a = _ensure(a)
-    out = np.tanh(a.data)
-    return _node(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -580,51 +552,3 @@ def dft_real(a) -> tuple[Tensor, Tensor]:
     stacked = _node(np.stack([re, im]), (a,), _bw)
     return take(stacked, 0), take(stacked, 1)
 
-
-# -- gradient checking --------------------------------------------------------------
-
-
-def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
-    """Max relative disagreement between reverse-mode and central differences.
-
-    Relative error per entry is |analytic - numeric| / max(1, |numeric|);
-    returns the max over entries of x.
-    """
-    leaf = Tensor(x.data.copy(), requires_grad=True)
-    return float(grad_check_many(lambda: f(leaf), [leaf], eps).max(initial=0.0))
-
-
-def grad_check_many(f, tensors, eps: float = 1e-5) -> np.ndarray:
-    """Per-entry relative errors for a scalar function of several tensors.
-
-    ``f()`` must read the passed tensors by reference. Returns the
-    concatenated array of relative errors across all entries. Raises
-    NumericError when f is non-finite at the point or under a perturbation.
-    """
-    out = f()
-    if not np.all(np.isfinite(out.data)):
-        raise NumericError("grad_check: function returned non-finite output")
-    out.backward()
-    analytic = [
-        t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in tensors
-    ]
-    for t in tensors:
-        t.zero_grad()
-
-    errs = []
-    with no_grad():
-        for t, ana in zip(tensors, analytic):
-            flat = t.data.reshape(-1)
-            aflat = ana.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                hi = float(f().data)
-                flat[i] = orig - eps
-                lo = float(f().data)
-                flat[i] = orig
-                if not (np.isfinite(hi) and np.isfinite(lo)):
-                    raise NumericError("grad_check: non-finite output under perturbation")
-                numeric = (hi - lo) / (2.0 * eps)
-                errs.append(abs(aflat[i] - numeric) / max(1.0, abs(numeric)))
-    return np.asarray(errs)

@@ -59,6 +59,12 @@ def feed_forward(h, w1, b1, w2, b2):
     return T.linear(silu(T.linear(h, w1, b1)), w2, b2)
 
 
+def tanh(a):
+    """tanh as one tape node that keeps its output, a step of the tanh-L1 chain below."""
+    out = np.tanh(a.data)
+    return T._node(out, (a,), lambda g: (g * (1.0 - out * out),))
+
+
 def absolute(a):
     """|a| as one tape node, a step of the tanh-L1 chain below."""
     ad = a.data
@@ -66,7 +72,7 @@ def absolute(a):
 
 
 def tanh_l1_graph(scores):
-    th = T.tanh(scores)
+    th = tanh(scores)
     denom = absolute(th).sum(axis=-1, keepdims=True)
     guard = (denom.data == 0.0).astype(np.float64)
     return G.SignedGraph(th / (denom + T.Tensor(guard)))

@@ -4,20 +4,7 @@ import pytest
 from seedcast import attention as A
 from seedcast import tensor as T
 from seedcast.errors import ConfigError
-
-
-def make_params(d_model, heads, rng=None, scale=None):
-    rng = rng or np.random.default_rng(0)
-    scale = scale if scale is not None else d_model**-0.5
-
-    def w():
-        return T.Tensor(rng.normal(size=(d_model, d_model)) * scale, requires_grad=True)
-
-    def b():
-        return T.Tensor(np.zeros(d_model), requires_grad=True)
-
-    return A.AttentionParams(wq=w(), wk=w(), wv=w(), wo=w(),
-                             bq=b(), bk=b(), bv=b(), bo=b(), heads=heads)
+from tests_helpers import attention_params, grad_check_many
 
 
 @pytest.fixture
@@ -37,7 +24,7 @@ def softmax_outputs(monkeypatch):
 
 class TestTemporalAttention:
     def test_single_patch_weight_is_one(self, softmax_outputs):
-        params = make_params(4, 2)
+        params = attention_params(4, 2)
         tokens = T.Tensor(np.random.default_rng(1).normal(size=(3, 1, 4)))
         out = A.temporal_attention(tokens, params)
         [weights] = softmax_outputs
@@ -48,7 +35,7 @@ class TestTemporalAttention:
         assert np.abs(out.data - expected).max() < 1e-12
 
     def test_identical_variables_identical_outputs(self):
-        params = make_params(8, 4)
+        params = attention_params(8, 4)
         row = np.random.default_rng(2).normal(size=(5, 8))
         tokens = T.Tensor(np.stack([row, row]))
         out = A.temporal_attention(tokens, params)
@@ -75,7 +62,7 @@ class TestTemporalAttention:
         assert np.abs(out.data[0] - expected).max() < 1e-10
 
     def test_channel_independence_bit_identical(self):
-        params = make_params(8, 2)
+        params = attention_params(8, 2)
         rng = np.random.default_rng(3)
         base = rng.normal(size=(4, 6, 8))
         out_base = A.temporal_attention(T.Tensor(base), params).data
@@ -89,7 +76,7 @@ class TestTemporalAttention:
                     assert np.array_equal(out[i], out_base[i])
 
     def test_attention_rows_sum_to_one(self, softmax_outputs):
-        params = make_params(8, 4)
+        params = attention_params(8, 4)
         tokens = T.Tensor(np.random.default_rng(4).normal(size=(3, 7, 8)))
         A.temporal_attention(tokens, params)
         [weights] = softmax_outputs
@@ -97,7 +84,7 @@ class TestTemporalAttention:
         assert np.abs(weights.sum(axis=-1) - 1.0).max() < 1e-12
 
     def test_variable_permutation_equivariance(self):
-        params = make_params(8, 2)
+        params = attention_params(8, 2)
         rng = np.random.default_rng(5)
         tokens = rng.normal(size=(5, 4, 8))
         perm = rng.permutation(5)
@@ -107,11 +94,11 @@ class TestTemporalAttention:
 
     def test_heads_must_divide(self):
         with pytest.raises(ConfigError):
-            A.temporal_attention(T.Tensor(np.zeros((1, 2, 6))), make_params(6, 4))
+            A.temporal_attention(T.Tensor(np.zeros((1, 2, 6))), attention_params(6, 4))
 
     def test_gradient_check(self):
         rng = np.random.default_rng(6)
-        params = make_params(4, 2, rng)
+        params = attention_params(4, 2, rng)
         tokens = T.Tensor(rng.normal(size=(2, 3, 4)))
         target = rng.normal(size=(2, 3, 4))
 
@@ -120,11 +107,11 @@ class TestTemporalAttention:
             diff = out - T.Tensor(target)
             return (diff * diff).mean()
 
-        errs = T.grad_check_many(f, params.params(), eps=1e-5)
+        errs = grad_check_many(f, params.params(), eps=1e-5)
         assert (errs < 1e-5).all()
 
     def test_batched_matches_per_sample(self):
-        params = make_params(8, 2)
+        params = attention_params(8, 2)
         rng = np.random.default_rng(7)
         batch = rng.normal(size=(3, 2, 4, 8))
         out = A.temporal_attention(T.Tensor(batch), params).data

@@ -20,7 +20,7 @@ from seedcast import tensor as T
 from seedcast import training as TR
 from seedcast.errors import ShapeError
 from seedcast.model import VARIANTS, ModelConfig, SeedModel
-from tests_helpers import tape_bytes
+from tests_helpers import grad_check_many, tape_bytes
 
 
 def _run(op, arrays, seed):
@@ -45,7 +45,7 @@ def assert_matches_oracle(fused, oracle, arrays, rng):
 def assert_grad_checks(op, arrays, rng):
     leaves = [T.Tensor(np.array(a, dtype=float), requires_grad=True) for a in arrays]
     weights = T.Tensor(rng.normal(size=op(*leaves).shape))
-    errs = T.grad_check_many(lambda: (op(*leaves) * weights).sum(), leaves)
+    errs = grad_check_many(lambda: (op(*leaves) * weights).sum(), leaves)
     assert errs.max() < 1e-6
 
 

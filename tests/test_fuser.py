@@ -4,6 +4,7 @@ import pytest
 from seedcast import fuser as FU
 from seedcast import tensor as T
 from seedcast.errors import ShapeError
+from tests_helpers import grad_check_many
 
 
 class TestPatchSimilarity:
@@ -103,7 +104,7 @@ class TestFuse:
         def f():
             return (FU.fuse(t_feat, e_feat, ent) * mix).sum()
 
-        errs = T.grad_check_many(f, [t_feat, e_feat, ent], eps=1e-6)
+        errs = grad_check_many(f, [t_feat, e_feat, ent], eps=1e-6)
         assert errs.max() < 1e-5
 
     def test_blend_swap_semantics(self):

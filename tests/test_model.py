@@ -7,7 +7,7 @@ import pytest
 from seedcast import tensor as T
 from seedcast.errors import ConfigError, InputError
 from seedcast.model import VARIANTS, ModelConfig, SeedModel, apply_variant
-from tests_helpers import strided_windows
+from tests_helpers import count_params, grad_check_many, strided_windows
 
 MICRO = dict(lookback=8, horizon=4, patch_len=4, d_model=8,
              heads=2, n_layers=1, n_vars=2)
@@ -373,8 +373,8 @@ class TestCountParams:
         assert head == 384 * 96 + 96 == 36_960
 
     def test_doubling_width_more_than_doubles(self):
-        small = SeedModel(micro_config(seed=0)).count_params()
-        big = SeedModel(micro_config(seed=0, d_model=16)).count_params()
+        small = count_params(SeedModel(micro_config(seed=0)))
+        big = count_params(SeedModel(micro_config(seed=0, d_model=16)))
         assert big > 2 * small
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -397,12 +397,12 @@ class TestCountParams:
         expected = (P * D + D               # embedding
                     + cfg.n_layers * per_layer
                     + N * D * T_ + T_)      # head
-        assert model.count_params() == expected
+        assert count_params(model) == expected
         # The L shaping-filter gains exist only where they train: with an
         # attached entropy that the fusion reads.
         trained = SeedModel(micro_config(variant=variant, detach_entropy=False))
         reads_entropy = wiring["fusion"] in ("entropy_sim", "swapped")
-        assert trained.count_params() == expected + L * reads_entropy
+        assert count_params(trained) == expected + L * reads_entropy
 
 
 class TestParameterWiring:
@@ -561,5 +561,5 @@ class TestFullModelGradient:
         def f():
             return total_loss(y, model.forward(w), 0.1)
 
-        errs = T.grad_check_many(f, model.params(), eps=1e-5)
+        errs = grad_check_many(f, model.params(), eps=1e-5)
         assert (errs < 1e-4).mean() >= 0.99

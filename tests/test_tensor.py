@@ -4,13 +4,13 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import absolute, silu
+from oracles import absolute, silu, tanh
 from seedcast import attention as A
 from seedcast import graph as G
 from seedcast import model as M
 from seedcast import tensor as T
 from seedcast.errors import InputError, NumericError, ShapeError
-from tests_helpers import attention_params
+from tests_helpers import attention_params, grad_check, grad_check_many
 
 
 def triple_loop_matmul(a, b):
@@ -84,7 +84,7 @@ class TestSoftmax:
 class TestGradCheck:
     def test_sum_of_squares(self):
         x = T.Tensor([1.0, 2.0])
-        err = T.grad_check(lambda t: T.tsum(t * t), x)
+        err = grad_check(lambda t: T.tsum(t * t), x)
         assert err < 1e-7
         leaf = T.Tensor(x.data, requires_grad=True)
         T.tsum(leaf * leaf).backward()
@@ -92,31 +92,29 @@ class TestGradCheck:
 
     def test_non_finite_output_raises(self):
         def f(t):
-            return T.tsum(T.log(t))
+            return T.tsum(T.sqrt(t))
 
         with np.errstate(all="ignore"):
-            for x in ([-1.0, 2.0],   # NaN at the point itself
-                      [0.0, 2.0]):   # -inf at the point, NaN under perturbation
-                with pytest.raises(NumericError):
-                    T.grad_check(f, T.Tensor(x))
+            with pytest.raises(NumericError):
+                grad_check(f, T.Tensor([-1.0, 2.0]))  # NaN at the point itself
+            with pytest.raises(NumericError):
+                grad_check(lambda t: T.tsum(1.0 / t), T.Tensor([0.0, 2.0]))  # inf at the point
             x = T.Tensor([1e-6, 2.0], requires_grad=True)  # finite, NaN at x - eps
             with pytest.raises(NumericError, match="perturbation"):
-                T.grad_check_many(lambda: f(x), [x], eps=1e-5)
+                grad_check_many(lambda: f(x), [x], eps=1e-5)
 
     def test_tanh(self):
         rng = np.random.default_rng(3)
-        err = T.grad_check(lambda t: T.tsum(T.tanh(t)), T.Tensor(rng.normal(size=(3, 4))), eps=1e-5)
+        err = grad_check(lambda t: T.tsum(tanh(t)), T.Tensor(rng.normal(size=(3, 4))), eps=1e-5)
         assert err < 1e-6
 
     @pytest.mark.parametrize("op", [
-        lambda t: T.tsum(T.exp(t)),
         lambda t: T.tsum(T.sigmoid(t)),
         lambda t: T.tsum(silu(t)),
         lambda t: T.tsum(T.sqrt(absolute(t) + 1.0)),
-        lambda t: T.tsum(T.log(absolute(t) + 0.5)),
         lambda t: T.tmean(t * t * t),
         lambda t: T.tsum(T.softmax(t, -1) * T.softmax(t, 0)),
-        lambda t: T.tsum(t.reshape((6, 2)) ** 2.0),
+        lambda t: T.tsum(t.reshape((6, 2)) * t.reshape((6, 2))),
         lambda t: T.tsum(T.swapaxes(t, 0, 1) * 3.0),
         lambda t: T.tsum(T.maximum(t, 0.3) * 0.5),
         lambda t: T.tsum(T.xlogx(T.sigmoid(t))),
@@ -124,7 +122,7 @@ class TestGradCheck:
     def test_registered_ops(self, op):
         rng = np.random.default_rng(4)
         x = T.Tensor(rng.normal(size=(3, 4)))
-        assert T.grad_check(op, x, eps=1e-5) < 1e-6
+        assert grad_check(op, x, eps=1e-5) < 1e-6
 
     def test_swapaxes_negative_axes(self):
         rng = np.random.default_rng(12)
@@ -132,7 +130,7 @@ class TestGradCheck:
         for i, j in [(-1, -2), (-3, -2), (-4, -3), (0, -1), (-2, -2)]:
             assert np.array_equal(T.swapaxes(T.Tensor(x), i, j).data, np.swapaxes(x, i, j))
         w = T.Tensor(rng.normal(size=(2, 5, 4, 3)))  # uneven weights: a wrong swap shows
-        assert T.grad_check(lambda t: T.tsum(T.swapaxes(t, -3, -1) * w), T.Tensor(x)) < 1e-6
+        assert grad_check(lambda t: T.tsum(T.swapaxes(t, -3, -1) * w), T.Tensor(x)) < 1e-6
 
     def test_slicing_concat_stack(self):
         rng = np.random.default_rng(5)
@@ -143,7 +141,7 @@ class TestGradCheck:
             z = T.stack([z, z * 2.0], axis=0)
             return T.tsum(z.reshape((2, 4, 5)) * w)
 
-        assert T.grad_check(f, T.Tensor(rng.normal(size=(4, 5))), eps=1e-5) < 1e-6
+        assert grad_check(f, T.Tensor(rng.normal(size=(4, 5))), eps=1e-5) < 1e-6
 
     def test_fanout_accumulates(self):
         x = T.Tensor([3.0], requires_grad=True)
@@ -157,11 +155,11 @@ class TestGradCheck:
         w2 = T.Tensor(rng.normal(size=(8, 3)) * 0.5)
 
         def f(t):
-            h = T.tanh(T.matmul(t, w1))
+            h = tanh(T.matmul(t, w1))
             h = silu(T.matmul(h, w2))
             return T.tsum(h * h)
 
-        assert T.grad_check(f, T.Tensor(rng.normal(size=(5, 4))), eps=1e-5) < 1e-4
+        assert grad_check(f, T.Tensor(rng.normal(size=(5, 4))), eps=1e-5) < 1e-4
 
 
 class TestDftOp:
@@ -182,7 +180,7 @@ class TestDftOp:
             re, im = T.dft_real(t)
             return T.tsum(re * wr) + T.tsum(im * wi) + T.tsum(re * re + im * im)
 
-        assert T.grad_check(f, T.Tensor(rng.normal(size=6)), eps=1e-6) < 1e-6
+        assert grad_check(f, T.Tensor(rng.normal(size=6)), eps=1e-6) < 1e-6
 
     def test_gradient_batched_at_lookback(self):
         rng = np.random.default_rng(9)
@@ -197,7 +195,7 @@ class TestDftOp:
             power = T.tsum(re * re + im * im) * (1.0 / shape[-1])
             return T.tsum(re * wr) + T.tsum(im * wi) + power
 
-        assert T.grad_check(f, T.Tensor(rng.normal(size=shape)), eps=1e-6) < 1e-6
+        assert grad_check(f, T.Tensor(rng.normal(size=shape)), eps=1e-6) < 1e-6
 
 
 class TestNoGrad:
@@ -269,7 +267,7 @@ class TestRelease:
 
     def test_second_backward_raises(self):
         x = T.Tensor(np.arange(3.0), requires_grad=True)
-        h = T.exp(x)
+        h = T.sigmoid(x)
         loss = T.tsum(h)
         loss.backward()
         with pytest.raises(InputError, match="released"):
@@ -324,11 +322,8 @@ TAPED_OPS = {
     "div": lambda r: T.div(_leaf(r, 3, 4), _leaf(r, 3, 4, low=0.5)),
     "maximum": lambda r: T.maximum(_leaf(r, 3, 4), _leaf(r, 3, 4)),
     "neg": lambda r: T.neg(_leaf(r, 3, 4)),
-    "power": lambda r: T.power(_leaf(r, 3, 4, low=0.5), 1.5),
-    "exp": lambda r: T.exp(_leaf(r, 3, 4)),
-    "log": lambda r: T.log(_leaf(r, 3, 4, low=0.5)),
     "sqrt": lambda r: T.sqrt(_leaf(r, 3, 4, low=0.5)),
-    "tanh": lambda r: T.tanh(_leaf(r, 3, 4)),
+    "tanh": lambda r: tanh(_leaf(r, 3, 4)),
     "sigmoid": lambda r: T.sigmoid(_leaf(r, 3, 4)),
     "silu": lambda r: silu(_leaf(r, 3, 4)),
     "xlogx": lambda r: T.xlogx(_leaf(r, 3, 4, low=0.0)),

@@ -15,7 +15,7 @@ from seedcast import training as TR
 from seedcast.errors import ConfigError, DataError, ShapeError
 from seedcast.model import ModelConfig, SeedModel
 from seedcast.spectral import spectral_entropy
-from tests_helpers import strided_windows, tape_bytes
+from tests_helpers import grad_check, strided_windows, tape_bytes
 
 
 class TestLossPred:
@@ -103,8 +103,8 @@ class TestTotalLoss:
     def test_gradient_wrt_prediction(self):
         rng = np.random.default_rng(8)
         y = rng.normal(size=(2, 16))
-        err = T.grad_check(lambda t: TR.total_loss(y, t, 0.5),
-                           T.Tensor(rng.normal(size=(2, 16))), eps=1e-6)
+        err = grad_check(lambda t: TR.total_loss(y, t, 0.5),
+                         T.Tensor(rng.normal(size=(2, 16))), eps=1e-6)
         assert err < 1e-5
 
     def test_negative_lambda(self):

@@ -1,10 +1,76 @@
-"""Shared parameter builders for attention/graph tests, strided test windows, tape sizes."""
+"""Shared test tools: gradient checks, parameter builders, strided windows, tape sizes."""
 
 import numpy as np
 
 from seedcast import graph as G
 from seedcast import tensor as T
 from seedcast.attention import AttentionParams
+from seedcast.errors import NumericError
+from seedcast.spectral import autocovariance_biased
+
+
+def grad_check(f, x: T.Tensor, eps: float = 1e-5) -> float:
+    """Max relative disagreement between reverse-mode and central differences.
+
+    Relative error per entry is |analytic - numeric| / max(1, |numeric|);
+    returns the max over entries of x.
+    """
+    leaf = T.Tensor(x.data.copy(), requires_grad=True)
+    return float(grad_check_many(lambda: f(leaf), [leaf], eps).max(initial=0.0))
+
+
+def grad_check_many(f, tensors, eps: float = 1e-5) -> np.ndarray:
+    """Per-entry relative errors for a scalar function of several tensors.
+
+    ``f()`` must read the passed tensors by reference. Returns the
+    concatenated array of relative errors across all entries. Raises
+    NumericError when f is non-finite at the point or under a perturbation.
+    """
+    out = f()
+    if not np.all(np.isfinite(out.data)):
+        raise NumericError("grad_check: function returned non-finite output")
+    out.backward()
+    analytic = [
+        t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in tensors
+    ]
+    for t in tensors:
+        t.zero_grad()
+
+    errs = []
+    with T.no_grad():
+        for t, ana in zip(tensors, analytic):
+            flat = t.data.reshape(-1)
+            aflat = ana.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                hi = float(f().data)
+                flat[i] = orig - eps
+                lo = float(f().data)
+                flat[i] = orig
+                if not (np.isfinite(hi) and np.isfinite(lo)):
+                    raise NumericError("grad_check: non-finite output under perturbation")
+                numeric = (hi - lo) / (2.0 * eps)
+                errs.append(abs(aflat[i] - numeric) / max(1.0, abs(numeric)))
+    return np.asarray(errs)
+
+
+def count_params(model) -> int:
+    return sum(p.size for p in model.params())
+
+
+def wiener_khinchin_pair(x) -> tuple[np.ndarray, np.ndarray]:
+    """DFT of the biased autocovariance vs. the periodogram, on a 2L grid.
+
+    Both sides of the identity PSD = DFT(ACF), transformed by numpy: the
+    autocovariance for lags 0..L-1 laid out circularly over 2L bins, and
+    |DFT(zero-padded series)|^2 / L. Equal up to roundoff.
+    """
+    xc = np.asarray(x, dtype=np.float64) - np.mean(x)
+    L = xc.shape[-1]
+    cov = autocovariance_biased(x, L - 1)  # of x - mean(x), as xc
+    lhs = np.fft.fft(np.concatenate([cov, [0.0], cov[:0:-1]])).real
+    return lhs, np.abs(np.fft.fft(xc, 2 * L)) ** 2 / L
 
 
 def attention_params(d_model, heads, rng=None, scale=None):
