@@ -26,9 +26,6 @@ class AttentionParams:
     bo: T.Tensor
     heads: int
 
-    def params(self) -> list[T.Tensor]:
-        return [self.wq, self.wk, self.wv, self.wo, self.bq, self.bk, self.bv, self.bo]
-
 
 def split_heads(x: T.Tensor, heads: int) -> T.Tensor:
     """(..., N, D) -> (..., H, N, D/H)."""

@@ -10,6 +10,7 @@ patch are pooled back onto the patch grid.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +21,21 @@ from .errors import ConfigError, ShapeError
 
 @dataclass
 class SignedGraph:
-    """Per-head signed adjacency (..., H, n, n); masked entries are exactly zero."""
+    """Per-head signed adjacency (..., H, n, n); masked entries are exactly zero.
+
+    ``rebuild()`` returns ``weights.data`` again, bit for bit, from arrays the
+    tape keeps anyway, so that ``gcn``'s backward need not keep the graph. A
+    graph built from a bare tensor keeps its weights for it.
+    """
 
     weights: T.Tensor
     mask: np.ndarray | None = None  # bool retention mask once KNN-sparsified
+    rebuild: Callable[[], np.ndarray] | None = None
+
+    def __post_init__(self):
+        if self.rebuild is None:
+            data = self.weights.data
+            self.rebuild = lambda: data
 
 
 def default_knn_k(n: int) -> int:
@@ -35,14 +47,29 @@ def make_windows(tokens: T.Tensor) -> T.Tensor:
     """(..., C, N, D) -> (..., N-1, 2C, D): stride-1 windows of 2 adjacent patches.
 
     Node order inside window k is [var0@k, var0@k+1, var1@k, var1@k+1, ...].
+    One tape node with parents ``(tokens, tokens)``: it returns the gradients
+    of the earlier and the later patch of each pair separately, so
+    ``backward()`` adds them to the tokens' other gradients one at a time,
+    in the order of the slice chain it replaces. One summed gradient would
+    round differently.
     """
-    c, n, d = tokens.shape[-3], tokens.shape[-2], tokens.shape[-1]
+    x = tokens.data
+    c, n, d = x.shape[-3:]
     if n < 2:
         raise ConfigError(f"need at least 2 patches for local windows, got {n}")
-    prev = tokens[..., :, : n - 1, :]
-    nxt = tokens[..., :, 1:, :]
-    paired = T.swapaxes(T.stack([prev, nxt], axis=-2), -4, -3)  # (..., K, C, 2, D)
-    return paired.reshape(paired.shape[:-3] + (2 * c, d))
+    lead = x.shape[:-3]
+    paired = np.empty(lead + (n - 1, c, 2, d))
+    paired[..., 0, :] = np.swapaxes(x[..., :, : n - 1, :], -3, -2)
+    paired[..., 1, :] = np.swapaxes(x[..., :, 1:, :], -3, -2)
+
+    def _bw(g):
+        g = np.swapaxes(g.reshape(lead + (n - 1, c, 2, d)), -4, -3)  # (..., C, K, 2, D)
+        g_prev, g_next = np.zeros(x.shape), np.zeros(x.shape)
+        g_prev[..., : n - 1, :] += g[..., 0, :]
+        g_next[..., 1:, :] += g[..., 1, :]
+        return g_prev, g_next
+
+    return T._node(paired.reshape(lead + (n - 1, 2 * c, d)), (tokens, tokens), _bw)
 
 
 def signed_distance(window: T.Tensor, q: T.Tensor, heads: int) -> T.Tensor:
@@ -50,6 +77,9 @@ def signed_distance(window: T.Tensor, q: T.Tensor, heads: int) -> T.Tensor:
 
     The (d_h, d_h) form Q is shared across heads and unconstrained, so the
     scores (and the graph) are generally asymmetric. The heads split D evenly.
+    One tape node that keeps the window and Q; its backward recomputes
+    ``x_h Q`` and takes the derivative of the head split, the two products and
+    the transpose in that chain's own order.
     """
     d = window.shape[-1]
     if d % heads != 0:
@@ -57,38 +87,60 @@ def signed_distance(window: T.Tensor, q: T.Tensor, heads: int) -> T.Tensor:
     d_h = d // heads
     if q.shape[-1] != d_h or q.shape[-2] != d_h:
         raise ShapeError(f"distance form is {q.shape}, expected trailing ({d_h}, {d_h})")
-    xh = split_heads(window, heads)  # (..., H, n, d_h)
-    return T.matmul(T.matmul(xh, q), T.swapaxes(xh, -1, -2))
+    xh, qd = _split_heads(window.data, heads), q.data  # (..., H, n, d_h)
+    need_x, need_q = window.requires_grad, q.requires_grad
+
+    def project():  # x_h Q, one 2-D product over the collapsed batch axes
+        return (xh.reshape(-1, d_h) @ qd).reshape(xh.shape)
+
+    def _bw(g):
+        xq = project()
+        g_xq = g @ xh
+        g_q = xh.reshape(-1, d_h).T @ g_xq.reshape(-1, d_h) if need_q else None
+        if not need_x:
+            return None, g_q
+        # x_h feeds both factors: the left one's gradient first, then the right one's.
+        g_xh = (g_xq.reshape(-1, d_h) @ qd.T).reshape(xh.shape)
+        g_xh = g_xh + np.swapaxes(np.swapaxes(xq, -1, -2) @ g, -1, -2)
+        return _merge_heads(g_xh), g_q
+
+    return T._node(project() @ np.swapaxes(xh, -1, -2), (window, q), _bw)
 
 
 def sign_softmax_graph(scores: T.Tensor) -> SignedGraph:
     """Row softmax over |s|, re-signed by sign(s); sign(0) counts as +."""
     sign = np.where(scores.data >= 0.0, 1.0, -1.0)
-    mag = scores * T.Tensor(sign)
-    weights = T.softmax(mag, axis=-1) * T.Tensor(sign)
-    return SignedGraph(weights)
+    soft = T.softmax(scores * T.Tensor(sign), axis=-1)
+    out = soft.data  # its node keeps it, as the product's keeps the signs
+    return SignedGraph(soft * T.Tensor(sign), rebuild=lambda: out * sign)
 
 
 def tanh_l1_graph(scores: T.Tensor) -> SignedGraph:
     """tanh(s) normalized by the row L1 norm; all-zero rows stay all-zero.
 
-    One tape node that keeps the scores and the row norms, not its output.
-    Its backward recomputes tanh from the scores and takes the derivative of
-    the tanh, |.|, row-sum and division chain in that chain's own order.
+    One tape node that keeps tanh(s) and the row norms, not its output, which
+    ``rebuild()`` divides again. Its backward takes the derivative of the
+    tanh, |.|, row-sum and division chain in that chain's own order, in two
+    scratch arrays.
     """
-    sd = scores.data
-    th = np.tanh(sd)
+    th = np.tanh(scores.data)
     denom = np.abs(th).sum(axis=-1, keepdims=True)
     denom += denom == 0.0  # an all-zero row divides by 1
-    weights = np.divide(th, denom, out=th)
+
+    def weights():
+        return th / denom
 
     def _bw(g):
-        th = np.tanh(sd)
-        g_denom = (-g * th / (denom * denom)).sum(axis=-1, keepdims=True)
-        g_th = g / denom + np.broadcast_to(g_denom, th.shape) * np.sign(th)
-        return (g_th * (1.0 - th * th),)
+        t = g * th
+        t /= -(denom * denom)  # the sign of -g * th / denom², carried by the divisor
+        g_denom = t.sum(axis=-1, keepdims=True)
+        g_th = g / denom
+        g_th += np.multiply(np.sign(th, out=t), g_denom, out=t)
+        np.multiply(th, th, out=t)
+        g_th *= np.subtract(1.0, t, out=t)
+        return (g_th,)
 
-    return SignedGraph(T._node(weights, (scores,), _bw))
+    return SignedGraph(T._node(weights(), (scores,), _bw), rebuild=weights)
 
 
 def plain_softmax_graph(scores: T.Tensor) -> SignedGraph:
@@ -120,8 +172,8 @@ def knn_sparsify(graph: SignedGraph, k: int) -> SignedGraph:
     # Keep everything at or above the k-th largest |w|. Every row keeps at
     # least k entries that way, so more than k per row on average means some
     # row ties past its room; there, keep the lowest column indices.
-    # A copy of the k-th column, so that the partitioned array is freed at once.
-    kth = np.partition(absw, n - k, axis=-1)[..., n - k : n - k + 1].copy()
+    # A copy of the k-th column, so that the sorted array is freed at once.
+    kth = np.sort(absw, axis=-1)[..., n - k : n - k + 1].copy()
     mask = absw >= kth
     if np.count_nonzero(mask) > k * (mask.size // n):
         above = absw > kth
@@ -129,8 +181,9 @@ def knn_sparsify(graph: SignedGraph, k: int) -> SignedGraph:
         room = k - above.sum(axis=-1, keepdims=True)
         mask = above | (tie & (np.cumsum(tie, axis=-1, dtype=np.int32) <= room))
     del absw
-    w = graph.weights
-    return SignedGraph(T._node(w.data * mask, (w,), lambda g: (g * mask,)), mask)
+    w, rebuild = graph.weights, graph.rebuild
+    return SignedGraph(T._node(w.data * mask, (w,), lambda g: (g * mask,)), mask,
+                       lambda: rebuild() * mask)
 
 
 def gcn(window: T.Tensor, graph: SignedGraph, weight: T.Tensor) -> T.Tensor:
@@ -138,19 +191,21 @@ def gcn(window: T.Tensor, graph: SignedGraph, weight: T.Tensor) -> T.Tensor:
 
     ``weight`` holds the (H, d_h, d_h) per-head transforms W_h. The head split
     of ``window`` stays a taped view; the convolution after it is one tape
-    node with parents ``(graph.weights, x_h, weight)`` that keeps only those
-    three arrays. Its backward recomputes ``G @ x_h``, ``@ W_h`` and the
-    sigmoid, and takes the chain's derivative in that chain's own order.
+    node with parents ``(graph.weights, x_h, weight)`` that keeps ``x_h`` and
+    ``W``, and no graph: its backward asks ``graph.rebuild()`` for one. It
+    recomputes ``G @ x_h``, ``@ W_h`` and the sigmoid, and takes the chain's
+    derivative in that chain's own order.
     """
     d = window.shape[-1]
     heads = graph.weights.shape[-3]
     if d % heads != 0:
         raise ConfigError(f"gcn heads ({heads}) must divide feature width ({d})")
     xh = split_heads(window, heads)  # (..., H, n, d_h)
-    gd, xd, wd = graph.weights.data, xh.data, weight.data
+    rebuild, xd, wd = graph.rebuild, xh.data, weight.data
     need_g, need_x, need_w = graph.weights.requires_grad, xh.requires_grad, weight.requires_grad
 
     def _bw(g):
+        gd = rebuild()
         agg = gd @ xd
         pre = agg @ wd
         g = T._silu_grad(_split_heads(g, heads), pre, T._sigmoid(pre))
@@ -160,24 +215,48 @@ def gcn(window: T.Tensor, graph: SignedGraph, weight: T.Tensor) -> T.Tensor:
                 T._unbroadcast(np.swapaxes(gd, -1, -2) @ g_agg, xd.shape) if need_x else None,
                 g_w)
 
-    conv = T._node(_merge_heads(T._silu(gd @ xd @ wd)), (graph.weights, xh, weight), _bw)
+    conv = T._node(_merge_heads(T._silu(graph.weights.data @ xd @ wd)),
+                   (graph.weights, xh, weight), _bw)
     return window + conv
 
 
 def pool_windows(gcn_out: T.Tensor, mode: str = "mean") -> T.Tensor:
-    """All patches at once: (..., K, 2C, D) window outputs -> (..., C, N, D)."""
-    k2, n2, d = gcn_out.shape[-3], gcn_out.shape[-2], gcn_out.shape[-1]
-    c = n2 // 2
-    e = gcn_out.reshape(gcn_out.shape[:-2] + (c, 2, d))  # (..., K, C, 2, D)
-    slot0 = e[..., :, :, 0, :]  # (..., K, C, D): view of patches 0..N-2
-    slot1 = e[..., :, :, 1, :]  # view of patches 1..N-1
-    first = slot0[..., :1, :, :]
-    last = slot1[..., k2 - 1 : k2, :, :]
-    a = slot1[..., : k2 - 1, :, :]  # patches 1..N-2 sit in two windows each;
-    b = slot0[..., 1:, :, :]  # with a single window (N = 2) both are empty
-    mid = (a + b) * 0.5 if mode == "mean" else T.maximum(a, b)
-    stacked = T.concat([first, mid, last], axis=-3)  # (..., N, C, D)
-    return T.swapaxes(stacked, -3, -2)  # (..., C, N, D)
+    """All patches at once: (..., K, 2C, D) window outputs -> (..., C, N, D).
+
+    Patch 0 comes from window 0, patch N-1 from window K-1, and every patch
+    between from the two windows it sits in, by mean or max. One tape node
+    that keeps, for max, which window won; its backward scatters each part
+    of the gradient back where the slices of the pooled chain came from.
+    """
+    shape = gcn_out.shape
+    k2, n2, d = shape[-3:]
+    split = shape[:-2] + (n2 // 2, 2, d)
+    e = gcn_out.data.reshape(split)  # (..., K, C, 2, D)
+    first, last = e[..., :1, :, 0, :], e[..., k2 - 1 :, :, 1, :]
+    a = e[..., : k2 - 1, :, 1, :]  # patches 1..N-2 sit in two windows each;
+    b = e[..., 1:, :, 0, :]  # with a single window (N = 2) both are empty
+    if mode == "mean":
+        mid = (a + b) * 0.5
+    else:
+        mid, a_wins = np.maximum(a, b), a >= b
+    stacked = np.concatenate([first, mid, last], axis=-3)  # (..., N, C, D)
+
+    def _bw(g):
+        g = np.swapaxes(g, -3, -2)  # (..., N, C, D)
+        g_mid = g[..., 1 : k2, :, :]
+        if mode == "mean":
+            g_a = g_b = g_mid * 0.5
+        else:
+            wins = a_wins.astype(np.float64)
+            g_a, g_b = g_mid * wins, g_mid * (1.0 - wins)
+        out = np.zeros(split)
+        out[..., :1, :, 0, :] += g[..., :1, :, :]
+        out[..., 1:, :, 0, :] += g_b
+        out[..., : k2 - 1, :, 1, :] += g_a
+        out[..., k2 - 1 :, :, 1, :] += g[..., k2:, :, :]
+        return (out.reshape(shape),)
+
+    return T._node(np.swapaxes(stacked, -3, -2), (gcn_out,), _bw)  # (..., C, N, D)
 
 
 def node_layout(mode: str, c: int, n: int) -> tuple[int, int]:
@@ -204,9 +283,6 @@ class SpatialParams:
     knn_k: int | None = None
     pool: str = "mean"
     mode: str = "local"  # a node_layout mode
-
-    def params(self) -> list[T.Tensor]:
-        return [self.q, self.gcn_weight]
 
 
 def context_spatial_extract(tokens: T.Tensor, p: SpatialParams) -> T.Tensor:

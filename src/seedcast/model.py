@@ -196,7 +196,7 @@ def layer_norm(x: T.Tensor, gamma: T.Tensor, beta: T.Tensor, eps: float = 1e-5) 
     that chain's own nodes would, so where ``x`` feeds nothing else its
     gradients are the chain's to the bit.
     """
-    shape, d = x.shape, x.shape[-1]
+    d = x.shape[-1]
     xd, gd, sg, sb = x.data, gamma.data, gamma.shape, beta.shape
     need_x, need_gamma, need_beta = x.requires_grad, gamma.requires_grad, beta.requires_grad
 
@@ -215,12 +215,20 @@ def layer_norm(x: T.Tensor, gamma: T.Tensor, beta: T.Tensor, eps: float = 1e-5) 
         g_beta = T._unbroadcast(g, sb) if need_beta else None
         if not need_x:
             return None, g_gamma, g_beta
-        g_xhat = g * gd
-        g_std = T._unbroadcast(-g_xhat * xc / (std * std), std.shape)
-        g_sq = np.broadcast_to(g_std * 0.5 / std, shape) / d  # through sqrt(mean(xc * xc))
-        g_sq_xc = g_sq * xc
-        g_xc = g_xhat / std + g_sq_xc + g_sq_xc  # xc / std, then both factors of xc * xc
-        return g_xc + np.broadcast_to(T._unbroadcast(-g_xc, std.shape), shape) / d, g_gamma, g_beta
+        # In place, in the chain's order. Per-row values are divided before they
+        # are broadcast: the same quotients.
+        g_xc = g * gd  # g_xhat, until it is divided by the std
+        t = g_xc * xc
+        t /= -(std * std)  # the sign of -g_xhat * xc / std², carried by the divisor
+        g_sq = t.sum(axis=-1, keepdims=True) * 0.5 / std / d  # through sqrt(mean(xc * xc))
+        g_sq_xc = np.multiply(xc, g_sq, out=t)
+        g_xc /= std
+        g_xc += g_sq_xc  # xc / std, then both factors of xc * xc
+        g_xc += g_sq_xc
+        # sum(-g_xc) bit for bit: numpy's sum of a row that comes to zero is +0.
+        g_mean = -g_xc.sum(axis=-1, keepdims=True) + 0.0
+        g_xc += g_mean / d
+        return g_xc, g_gamma, g_beta
 
     return T._node(out, (x, gamma, beta), _bw)
 
@@ -232,7 +240,8 @@ def feed_forward(h: T.Tensor, w1: T.Tensor, b1: T.Tensor, w2: T.Tensor,
     The node keeps ``h`` and the pre-activation, not the sigmoid or the SiLU
     output: its backward recomputes both from the pre-activation and takes
     the derivative of the linear, SiLU and linear chain in that chain's own
-    order.
+    order. Without a tape the pre-activation is freed as soon as the SiLU
+    output exists.
     """
     hd, w1d, w2d, sb1, sb2 = h.data, w1.data, w2.data, b1.shape, b2.shape
     need = [t.requires_grad for t in (h, w1, b1, w2, b2)]
@@ -246,7 +255,10 @@ def feed_forward(h: T.Tensor, w1: T.Tensor, b1: T.Tensor, w2: T.Tensor,
         g_h, g_w1, g_b1 = T._affine_grads(T._silu_grad(g_act, pre, s), hd, w1d, sb1, need[:3])
         return g_h, g_w1, g_b1, g_w2, g_b2
 
-    return T._node(T._affine(T._silu(pre), w2d, b2.data), (h, w1, b1, w2, b2), _bw)
+    act = T._silu(pre)
+    if not T.grad_enabled():
+        pre = None  # no backward will read it: free it before the second product
+    return T._node(T._affine(act, w2d, b2.data), (h, w1, b1, w2, b2), _bw)
 
 
 def _learned_scalar(t, e, ent, lp: LayerParams) -> T.Tensor:

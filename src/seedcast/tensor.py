@@ -90,9 +90,6 @@ class Tensor:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = None
 

@@ -190,12 +190,6 @@ def validation_mse(model: SeedModel, split: SplitWindows) -> float:
     return float(((yhat - split.y) ** 2).mean())
 
 
-def persistence_report(split: SplitWindows) -> MetricsReport:
-    """Repeat-last-value baseline: the weakest credible reference forecast."""
-    y = np.ascontiguousarray(split.y)
-    return _report(np.broadcast_to(split.x[..., -1:], y.shape) - y)
-
-
 # -- training loop ------------------------------------------------------------------
 
 

@@ -59,6 +59,34 @@ def feed_forward(h, w1, b1, w2, b2):
     return T.linear(silu(T.linear(h, w1, b1)), w2, b2)
 
 
+def make_windows(tokens):
+    c, n, d = tokens.shape[-3], tokens.shape[-2], tokens.shape[-1]
+    prev = tokens[..., :, : n - 1, :]
+    nxt = tokens[..., :, 1:, :]
+    paired = T.swapaxes(T.stack([prev, nxt], axis=-2), -4, -3)  # (..., K, C, 2, D)
+    return paired.reshape(paired.shape[:-3] + (2 * c, d))
+
+
+def signed_distance(window, q, heads):
+    xh = A.split_heads(window, heads)
+    return T.matmul(T.matmul(xh, q), T.swapaxes(xh, -1, -2))
+
+
+def pool_windows(gcn_out, mode="mean"):
+    k2, n2, d = gcn_out.shape[-3], gcn_out.shape[-2], gcn_out.shape[-1]
+    c = n2 // 2
+    e = gcn_out.reshape(gcn_out.shape[:-2] + (c, 2, d))  # (..., K, C, 2, D)
+    slot0 = e[..., :, :, 0, :]
+    slot1 = e[..., :, :, 1, :]
+    first = slot0[..., :1, :, :]
+    last = slot1[..., k2 - 1 : k2, :, :]
+    a = slot1[..., : k2 - 1, :, :]
+    b = slot0[..., 1:, :, :]
+    mid = (a + b) * 0.5 if mode == "mean" else T.maximum(a, b)
+    stacked = T.concat([first, mid, last], axis=-3)  # (..., N, C, D)
+    return T.swapaxes(stacked, -3, -2)
+
+
 def tanh(a):
     """tanh as one tape node that keeps its output, a step of the tanh-L1 chain below."""
     out = np.tanh(a.data)
@@ -106,6 +134,9 @@ ORACLES = (
     (M, "temporal_attention", temporal_attention),
     (G, "gcn", gcn),
     (M, "feed_forward", feed_forward),
+    (G, "make_windows", make_windows),
+    (G, "signed_distance", signed_distance),
+    (G, "pool_windows", pool_windows),
 )
 
 

@@ -25,8 +25,8 @@ from seedcast import tensor as T
 from seedcast import training as TR
 from seedcast.embedding import instance_normalize, patch_and_embed
 from seedcast.rng import RngState
-from tests_helpers import (attention_params, grad_check, grad_check_many, spatial_params,
-                           wiener_khinchin_pair)
+from tests_helpers import (attention_params, grad_check, grad_check_many, param_tensors,
+                           persistence_report, spatial_params, wiener_khinchin_pair)
 
 
 @contextmanager
@@ -142,7 +142,7 @@ def test_criterion_5_gradient_suite():
             diff = temporal_attention(tokens, params) - T.Tensor(mix)
             return (diff * diff).mean()
 
-        assert grad_check_many(attn_loss, params.params(), eps=1e-5).max() < 1e-5
+        assert grad_check_many(attn_loss, param_tensors(params), eps=1e-5).max() < 1e-5
 
         # spatial chain (tanh) at 1e-4
         sp = spatial_params(4, 2, np.random.default_rng(28))
@@ -153,7 +153,7 @@ def test_criterion_5_gradient_suite():
             diff = G.context_spatial_extract(tokens2, sp) - T.Tensor(mix2)
             return (diff * diff).mean()
 
-        assert grad_check_many(spatial_loss, sp.params(), eps=1e-5).max() < 1e-4
+        assert grad_check_many(spatial_loss, param_tensors(sp), eps=1e-5).max() < 1e-4
 
         # fuser at 1e-5
         from seedcast.fuser import fuse
@@ -219,7 +219,7 @@ def mixture_splits():
 
 def test_criterion_7_training_sanity(mixture_splits):
     with criterion(7, 900.0, "beats persistence by >= 30%; full <= min(ablations)"):
-        pers = TR.persistence_report(mixture_splits.test).mse
+        pers = persistence_report(mixture_splits.test).mse
         results = {}
         for variant in ("full", "wo_cse", "wo_tattn"):
             cfg = sc.ModelConfig(n_vars=8, seed=11, variant=variant)
@@ -248,7 +248,7 @@ def test_criterion_8_etth1_desk_check():
     with criterion(8, 2700.0, "ETTh1 96->96 test MSE <= 0.50 and below persistence"):
         ds = D.load_csv(_etth1_path(), date_col=True, name="ETTh1")
         splits = D.make_splits(ds, 96, 96)
-        pers = TR.persistence_report(splits.test).mse
+        pers = persistence_report(splits.test).mse
         cfg = sc.ModelConfig(n_vars=ds.n_vars, seed=1)
         tcfg = TR.TrainConfig(epochs=10, batch_size=64, learning_rate=1e-3,
                               patience=3, seed=1)

@@ -4,7 +4,7 @@ import pytest
 from seedcast import attention as A
 from seedcast import tensor as T
 from seedcast.errors import ConfigError
-from tests_helpers import attention_params, grad_check_many
+from tests_helpers import attention_params, grad_check_many, param_tensors
 
 
 @pytest.fixture
@@ -107,7 +107,7 @@ class TestTemporalAttention:
             diff = out - T.Tensor(target)
             return (diff * diff).mean()
 
-        errs = grad_check_many(f, params.params(), eps=1e-5)
+        errs = grad_check_many(f, param_tensors(params), eps=1e-5)
         assert (errs < 1e-5).all()
 
     def test_batched_matches_per_sample(self):

@@ -1,12 +1,15 @@
 """Fused ops against the op chains they replaced (tests/oracles.py).
 
 ``linear``, ``layer_norm``, ``tanh_l1_graph``, ``knn_sparsify``,
-``temporal_attention``, ``gcn`` and ``feed_forward`` each build one tape node
-with a hand-written backward. Their values and gradients must match the
-chains bit for bit, their gradients must pass a finite-difference check,
-their nodes must hang directly off their inputs, and they must keep fewer
-arrays on the tape than the chains did.
+``temporal_attention``, ``gcn``, ``feed_forward``, ``make_windows``,
+``signed_distance`` and ``pool_windows`` each build one tape node with a
+hand-written backward. Their values and gradients must match the chains bit
+for bit, their gradients must pass a finite-difference check, their nodes
+must hang directly off their inputs, and they must keep fewer arrays on the
+tape than the chains did.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +189,61 @@ class TestKnnSparsify:
         assert_grad_checks(_tanh_knn(3), [rng.normal(size=(2, 6, 6))], rng)
 
 
+class TestRebuild:
+    """``SignedGraph.rebuild()`` gives back the weights bit for bit, whatever built them."""
+
+    @pytest.mark.parametrize("builder", sorted(G.GRAPH_BUILDERS))
+    def test_every_builder_then_knn(self, builder):
+        rng = np.random.default_rng(16)
+        s = rng.normal(size=(2, 3, 9, 9))
+        s[0, 1, 2] = 0.0  # an all-zero row, and zero scores in the softmax signs
+        graph = G.GRAPH_BUILDERS[builder](T.Tensor(s, requires_grad=True))
+        assert graph.rebuild().tobytes() == graph.weights.data.tobytes()
+        for k in (1, 4, 9):
+            sparse = G.knn_sparsify(graph, k)
+            assert sparse.rebuild().tobytes() == sparse.weights.data.tobytes()
+
+    def test_hand_built_graph_keeps_its_weights(self):
+        w = T.Tensor(np.arange(8.0).reshape(2, 2, 2))
+        assert G.SignedGraph(w).rebuild() is w.data
+
+
+class TestSpatialLayout:
+    @pytest.mark.parametrize("shape", [(3, 4, 5), (2, 3, 6, 4), (2, 2, 1, 2, 3)])
+    def test_make_windows_matches_oracle_and_grad_checks(self, shape):
+        rng = np.random.default_rng(17)
+        arrays = [rng.normal(size=shape)]
+        assert_matches_oracle(G.make_windows, oracles.make_windows, arrays, rng)
+        assert_grad_checks(G.make_windows, arrays, rng)
+
+    @pytest.mark.parametrize("window_shape, heads",
+                             [((2, 3, 6, 4), 2), ((5, 8), 1), ((3, 4, 6), 3)])
+    def test_signed_distance_matches_oracle_and_grad_checks(self, window_shape, heads):
+        rng = np.random.default_rng(18)
+        d_h = window_shape[-1] // heads
+        arrays = [rng.normal(size=window_shape), rng.normal(size=(d_h, d_h))]
+        fused = lambda x, q: G.signed_distance(x, q, heads)  # noqa: E731
+        assert_matches_oracle(fused, lambda x, q: oracles.signed_distance(x, q, heads),
+                              arrays, rng)
+        assert_grad_checks(fused, arrays, rng)
+
+    @pytest.mark.parametrize("mode", ["mean", "max"])
+    @pytest.mark.parametrize("shape", [(3, 6, 4), (2, 4, 3, 6, 5), (2, 1, 4, 3)])
+    def test_pool_windows_matches_oracle_and_grad_checks(self, shape, mode):
+        # (2, 1, 4, 3) is a single window: every patch sits in one window only.
+        rng = np.random.default_rng(19)
+        arrays = [rng.normal(size=shape)]
+        assert_matches_oracle(lambda x: G.pool_windows(x, mode),
+                              lambda x: oracles.pool_windows(x, mode), arrays, rng)
+        assert_grad_checks(lambda x: G.pool_windows(x, mode), arrays, rng)
+
+    def test_pool_windows_max_ties_route_to_the_earlier_window(self):
+        rng = np.random.default_rng(20)
+        x = np.round(rng.normal(size=(2, 3, 4, 2)), 0)  # many equal pairs
+        assert_matches_oracle(lambda x: G.pool_windows(x, "max"),
+                              lambda x: oracles.pool_windows(x, "max"), [x], rng)
+
+
 def _attention(op, heads):
     """``op`` over the tokens and the eight attention weights, in ``AttentionParams`` order."""
     return lambda x, *weights: op(x, A.AttentionParams(*weights, heads=heads))
@@ -279,14 +337,44 @@ class TestTapeNodes:
         h, w1, b1, w2, b2 = self._leaves((3, 5, 4), (4, 8), (8,), (8, 4), (4,))
         assert M.feed_forward(h, w1, b1, w2, b2)._node.parents == (h, w1, b1, w2, b2)
 
-    def test_tanh_knn_stage_keeps_two_graphs_beyond_the_scores(self):
+    def test_spatial_nodes_hang_off_their_inputs(self):
+        tokens, q = self._leaves((2, 3, 4, 8), (4, 4))
+        # The tokens twice: the earlier and the later patch of each pair.
+        assert G.make_windows(tokens)._node.parents == (tokens, tokens)
+        assert G.signed_distance(tokens, q, 2)._node.parents == (tokens, q)
+        (window,) = self._leaves((2, 3, 6, 8))
+        for mode in ("mean", "max"):
+            assert G.pool_windows(window, mode)._node.parents == (window,)
+
+    def test_tanh_knn_stage_keeps_one_graph_beyond_the_scores(self):
         # The chain kept tanh, |tanh|, the quotient, a float mask and the
-        # product: five graph-sized float64 arrays. What remains beyond two
-        # graphs is the bool mask and the row norms.
+        # product: five graph-sized float64 arrays. What remains beyond the
+        # scores is tanh, the bool mask and the row norms.
         (scores,) = self._leaves((2, 3, 4, 42, 42))
         out = G.knn_sparsify(G.tanh_l1_graph(scores), 21).weights
         graph = scores.data.nbytes
-        assert tape_bytes(out) - graph < 3 * graph
+        assert tape_bytes(out) - graph < 1.5 * graph
+
+    def test_gcn_over_the_tanh_knn_stage_keeps_no_graph_of_its_own(self):
+        # The convolution rebuilds its graph from the stage's tanh, row norms
+        # and mask, so beyond the stage it keeps only the window and W.
+        scores, window, w = self._leaves((2, 3, 2, 6, 6), (2, 3, 6, 4), (2, 2, 2))
+        graph = G.knn_sparsify(G.tanh_l1_graph(scores), 3)
+        out = G.gcn(window, graph, w)
+        assert tape_bytes(out) == (tape_bytes(graph.weights) + window.data.nbytes
+                                   + w.data.nbytes)
+
+    def test_spatial_nodes_keep_only_their_inputs(self):
+        # The windows and the pooling keep shapes only (and, for max, which
+        # window won, as bools); the distance keeps the window and Q. The
+        # leaves themselves count.
+        tokens, q = self._leaves((2, 3, 4, 8), (4, 4))
+        assert tape_bytes(G.make_windows(tokens)) == tokens.data.nbytes
+        assert tape_bytes(G.signed_distance(tokens, q, 2)) == tokens.data.nbytes + q.data.nbytes
+        (window,) = self._leaves((2, 3, 6, 8))
+        assert tape_bytes(G.pool_windows(window, "mean")) == window.data.nbytes
+        wins = 2 * 2 * 3 * 8  # (..., K-1, C, D) bools for K=3 windows of C=3 variables
+        assert tape_bytes(G.pool_windows(window, "max")) == window.data.nbytes + wins
 
     def test_layer_norm_and_linear_keep_only_their_output(self):
         # Their tapes hold only the leaves and the row std; the output is the caller's.
@@ -323,13 +411,29 @@ class TestTapeNodes:
 
     def test_default_step_tape_at_21_variables(self):
         # One default-width `full` train step at train_weather21's shape. A tape
-        # whose nodes kept their outputs held 237.8 MiB here, and 140.6 MiB while
-        # attention, GCN and FFN were chains of nodes.
-        assert self._default_step_tape(21, 32) <= 105 * 2**20
+        # whose nodes kept their outputs held 237.8 MiB here, 140.6 MiB while
+        # attention, GCN and FFN were chains of nodes, and 101.3 MiB while the
+        # GCN kept its graph and the distance kept x_h Q; 77.5 MiB now.
+        assert self._default_step_tape(21, 32) <= 80 * 2**20
 
     def test_default_step_tape_at_8_variables(self):
-        # The same at train_mixture8's shape: 156.0 MiB, then 90.1 MiB.
-        assert self._default_step_tape(8, 64) <= 64 * 2**20
+        # The same at train_mixture8's shape: 156.0, 90.1, 60.1, now 50.1 MiB.
+        assert self._default_step_tape(8, 64) <= 52 * 2**20
+
+    def test_no_tape_feed_forward_frees_its_pre_activation(self):
+        # Without a tape, at most two hidden-layer arrays (each twice h) are
+        # live at once: the pre-activation and the SiLU output, then the SiLU
+        # output and the output. Keeping the pre-activation through the second
+        # product made that 5 h.
+        h, w1, b1, w2, b2 = self._leaves((16, 8, 6, 64), (64, 128), (128,), (128, 64), (64,))
+        with T.no_grad():
+            tracemalloc.start()
+            try:
+                M.feed_forward(h, w1, b1, w2, b2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 4.5 * h.data.nbytes
 
 
 MICRO = dict(lookback=16, horizon=8, patch_len=4, d_model=8, heads=2,

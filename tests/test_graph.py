@@ -4,7 +4,7 @@ import pytest
 from seedcast import graph as G
 from seedcast import tensor as T
 from seedcast.errors import ConfigError
-from tests_helpers import grad_check_many, spatial_params
+from tests_helpers import grad_check_many, param_tensors, spatial_params
 
 
 def silu(x):
@@ -448,7 +448,7 @@ class TestContextSpatialExtract:
             diff = out - T.Tensor(target)
             return (diff * diff).mean()
 
-        errs = grad_check_many(f, p.params(), eps=1e-5)
+        errs = grad_check_many(f, param_tensors(p), eps=1e-5)
         assert (errs < 1e-4).all()
 
     def test_gradient_through_softmax_graph_away_from_kinks(self):
@@ -465,5 +465,5 @@ class TestContextSpatialExtract:
             diff = out - T.Tensor(target)
             return (diff * diff).mean()
 
-        errs = grad_check_many(f, p.params(), eps=1e-5)
+        errs = grad_check_many(f, param_tensors(p), eps=1e-5)
         assert (errs < 1e-4).all()

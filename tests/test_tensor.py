@@ -10,7 +10,7 @@ from seedcast import graph as G
 from seedcast import model as M
 from seedcast import tensor as T
 from seedcast.errors import InputError, NumericError, ShapeError
-from tests_helpers import attention_params, grad_check, grad_check_many
+from tests_helpers import attention_params, detach, grad_check, grad_check_many
 
 
 def triple_loop_matmul(a, b):
@@ -108,16 +108,18 @@ class TestGradCheck:
         err = grad_check(lambda t: T.tsum(tanh(t)), T.Tensor(rng.normal(size=(3, 4))), eps=1e-5)
         assert err < 1e-6
 
+    # Each case names itself, so adding or removing one renames no other. The
+    # names are the ones the suite reported when the ids were positional.
     @pytest.mark.parametrize("op", [
-        lambda t: T.tsum(T.sigmoid(t)),
-        lambda t: T.tsum(silu(t)),
-        lambda t: T.tsum(T.sqrt(absolute(t) + 1.0)),
-        lambda t: T.tmean(t * t * t),
-        lambda t: T.tsum(T.softmax(t, -1) * T.softmax(t, 0)),
-        lambda t: T.tsum(t.reshape((6, 2)) * t.reshape((6, 2))),
-        lambda t: T.tsum(T.swapaxes(t, 0, 1) * 3.0),
-        lambda t: T.tsum(T.maximum(t, 0.3) * 0.5),
-        lambda t: T.tsum(T.xlogx(T.sigmoid(t))),
+        pytest.param(lambda t: T.tsum(T.sigmoid(t)), id="<lambda>0"),
+        pytest.param(lambda t: T.tsum(silu(t)), id="<lambda>1"),
+        pytest.param(lambda t: T.tsum(T.sqrt(absolute(t) + 1.0)), id="<lambda>2"),
+        pytest.param(lambda t: T.tmean(t * t * t), id="<lambda>3"),
+        pytest.param(lambda t: T.tsum(T.softmax(t, -1) * T.softmax(t, 0)), id="<lambda>4"),
+        pytest.param(lambda t: T.tsum(t.reshape((6, 2)) * t.reshape((6, 2))), id="<lambda>5"),
+        pytest.param(lambda t: T.tsum(T.swapaxes(t, 0, 1) * 3.0), id="<lambda>6"),
+        pytest.param(lambda t: T.tsum(T.maximum(t, 0.3) * 0.5), id="<lambda>7"),
+        pytest.param(lambda t: T.tsum(T.xlogx(T.sigmoid(t))), id="<lambda>8"),
     ])
     def test_registered_ops(self, op):
         rng = np.random.default_rng(4)
@@ -207,7 +209,7 @@ class TestNoGrad:
 
     def test_detach_blocks_gradient(self):
         x = T.Tensor([2.0], requires_grad=True)
-        y = x.detach() * 5.0 + x
+        y = detach(x) * 5.0 + x
         T.tsum(y).backward()
         assert np.allclose(x.grad, [1.0])
 
@@ -348,6 +350,13 @@ TAPED_OPS = {
                            _leaf(r, 2, 2, 2)),
     "feed_forward": lambda r: M.feed_forward(_leaf(r, 3, 4), _leaf(r, 4, 8), _leaf(r, 8),
                                              _leaf(r, 8, 4), _leaf(r, 4)),
+    "make_windows": lambda r: G.make_windows(_leaf(r, 2, 3, 4, 4)),
+    "signed_distance": lambda r: G.signed_distance(_leaf(r, 2, 6, 4), _leaf(r, 2, 2), 2),
+    "pool_windows": lambda r: G.pool_windows(_leaf(r, 2, 3, 6, 4), "max"),
+    # The convolution's backward rebuilds the graph through KNN and tanh.
+    "gcn_rebuilding_its_graph": lambda r: G.gcn(
+        _leaf(r, 2, 6, 4), G.knn_sparsify(G.tanh_l1_graph(_leaf(r, 2, 2, 6, 6)), 3),
+        _leaf(r, 2, 2, 2)),
 }
 
 

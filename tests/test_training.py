@@ -15,7 +15,7 @@ from seedcast import training as TR
 from seedcast.errors import ConfigError, DataError, ShapeError
 from seedcast.model import ModelConfig, SeedModel
 from seedcast.spectral import spectral_entropy
-from tests_helpers import grad_check, strided_windows, tape_bytes
+from tests_helpers import grad_check, persistence_report, strided_windows, tape_bytes
 
 
 class TestLossPred:
@@ -181,8 +181,8 @@ class TestEvaluate:
 
     def test_persistence_strided_split_matches_copy(self):
         view, copy = strided_windows(200, 4, 32, seed=14)
-        strided = TR.persistence_report(TR.SplitWindows(view[..., :24], view[..., 24:]))
-        contiguous = TR.persistence_report(TR.SplitWindows(copy[..., :24], copy[..., 24:]))
+        strided = persistence_report(TR.SplitWindows(view[..., :24], view[..., 24:]))
+        contiguous = persistence_report(TR.SplitWindows(copy[..., :24], copy[..., 24:]))
         assert strided.to_dict() == contiguous.to_dict()
 
     def test_one_forward_per_batch(self):
@@ -234,7 +234,7 @@ class TestTrain:
         cfg = TR.TrainConfig(epochs=50, batch_size=32, learning_rate=3e-3,
                              patience=50, seed=2)
         model, report = TR.train(model, splits, cfg)
-        assert report.mse < TR.persistence_report(splits.test).mse
+        assert report.mse < persistence_report(splits.test).mse
 
     def test_same_seed_identical_reports(self):
         splits = tiny_sine_splits()

@@ -1,9 +1,11 @@
-"""Shared test tools: gradient checks, parameter builders, strided windows, tape sizes."""
+"""Shared test tools: gradient checks, parameter builders, strided windows, tape sizes,
+and the test-only helpers that left ``src/`` (parameter lists, ``detach``, persistence)."""
 
 import numpy as np
 
 from seedcast import graph as G
 from seedcast import tensor as T
+from seedcast import training as TR
 from seedcast.attention import AttentionParams
 from seedcast.errors import NumericError
 from seedcast.spectral import autocovariance_biased
@@ -57,6 +59,22 @@ def grad_check_many(f, tensors, eps: float = 1e-5) -> np.ndarray:
 
 def count_params(model) -> int:
     return sum(p.size for p in model.params())
+
+
+def param_tensors(params) -> list[T.Tensor]:
+    """The tensors of an ``AttentionParams`` or ``SpatialParams``, in field order."""
+    return [v for v in vars(params).values() if isinstance(v, T.Tensor)]
+
+
+def detach(t: T.Tensor) -> T.Tensor:
+    """``t``'s values as a new leaf that no gradient flows through."""
+    return T.Tensor(t.data)
+
+
+def persistence_report(split) -> TR.MetricsReport:
+    """Repeat-last-value baseline: the weakest credible reference forecast."""
+    y = np.ascontiguousarray(split.y)
+    return TR._report(np.broadcast_to(split.x[..., -1:], y.shape) - y)
 
 
 def wiener_khinchin_pair(x) -> tuple[np.ndarray, np.ndarray]:
