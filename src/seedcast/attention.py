@@ -77,19 +77,24 @@ def temporal_attention(tokens: T.Tensor, params: AttentionParams) -> T.Tensor:
     need_o = (True, p.wo.requires_grad, p.bo.requires_grad)  # its input is the merged heads
 
     def _bw(g):
+        # Each intermediate is dropped once read, and the heads' gradients are
+        # merged and projected one at a time, so few token-sized arrays are live.
         merged = _merge_heads(attn @ v) if need_o[1] else None
         g_ctx, g_wo, g_bo = T._affine_grads(g, merged, weights[3], b_shapes[3], need_o)
         del merged
         g_ctx = _split_heads(g_ctx, h)
         g_attn = g_ctx @ np.swapaxes(v, -1, -2)
         g_v = np.swapaxes(attn, -1, -2) @ g_ctx
+        del g_ctx
         inner = (g_attn * attn).sum(axis=-1, keepdims=True)
-        g_scores = attn * (g_attn - inner)
+        g_attn -= inner
+        g_scores = np.multiply(attn, g_attn, out=g_attn)
+        del g_attn
         g_scores *= scale
-        g_q = g_scores @ k
-        g_k = np.swapaxes(np.swapaxes(q, -1, -2) @ g_scores, -1, -2)
-        qkv = [T._affine_grads(_merge_heads(g_head), x, weights[i], b_shapes[i], need[i])
-               for i, g_head in enumerate((g_q, g_k, g_v))]
+        g_heads = [g_scores @ k, np.swapaxes(np.swapaxes(q, -1, -2) @ g_scores, -1, -2), g_v]
+        del g_scores, g_v
+        qkv = [T._affine_grads(_merge_heads(g_heads.pop(0)), x, weights[i], b_shapes[i], need[i])
+               for i in range(3)]
         return (*(g_x for g_x, _, _ in qkv), *(g for _, g_w, g_b in qkv for g in (g_w, g_b)),
                 g_wo, g_bo)
 

@@ -107,6 +107,9 @@ def _manifest(config: ModelConfig, tcfg: TrainConfig, ds: D.Dataset, args) -> di
     blob = json.dumps(payload, sort_keys=True).encode()
     payload["config_hash"] = hashlib.sha256(blob).hexdigest()
     payload["out_dir"] = args.out
+    # Seeded gradients depend on the BLAS thread count, so a rerun needs the same cap.
+    payload["thread_cap"] = {name: os.environ.get(name) for name in
+                             ("SEED_NUM_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     return payload
 
 

@@ -23,19 +23,34 @@ from .errors import ConfigError, ShapeError
 class SignedGraph:
     """Per-head signed adjacency (..., H, n, n); masked entries are exactly zero.
 
-    ``rebuild()`` returns ``weights.data`` again, bit for bit, from arrays the
-    tape keeps anyway, so that ``gcn``'s backward need not keep the graph. A
-    graph built from a bare tensor keeps its weights for it.
+    ``rebuild(block)`` returns ``weights.data[block]`` again, bit for bit, for
+    a slice ``block`` of the leading axis, from arrays the tape keeps anyway,
+    so that ``gcn``'s backward need not keep the graph. A graph built from a
+    bare tensor keeps its weights for it.
     """
 
     weights: T.Tensor
     mask: np.ndarray | None = None  # bool retention mask once KNN-sparsified
-    rebuild: Callable[[], np.ndarray] | None = None
+    rebuild: Callable[[slice], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.rebuild is None:
             data = self.weights.data
-            self.rebuild = lambda: data
+            self.rebuild = lambda block: data[block]
+
+
+def _blocks(a: np.ndarray) -> list[slice]:
+    """Slices of a (..., H, n, n) graph's first axis, each about ``tensor._BLOCK_BYTES`` of it.
+
+    The graph stages run block by block into full-size outputs, so their
+    temporaries stay in cache and small beside the tape. A graph without axes
+    before its heads is one block; the last block may be shorter.
+    """
+    if a.ndim < 4:
+        return [slice(None)]
+    rows = a.shape[0]
+    step = max(1, T._BLOCK_BYTES * rows // max(a.nbytes, 1))
+    return [slice(i, i + step) for i in range(0, max(rows, 1), step)]
 
 
 def default_knn_k(n: int) -> int:
@@ -112,35 +127,40 @@ def sign_softmax_graph(scores: T.Tensor) -> SignedGraph:
     sign = np.where(scores.data >= 0.0, 1.0, -1.0)
     soft = T.softmax(scores * T.Tensor(sign), axis=-1)
     out = soft.data  # its node keeps it, as the product's keeps the signs
-    return SignedGraph(soft * T.Tensor(sign), rebuild=lambda: out * sign)
+    return SignedGraph(soft * T.Tensor(sign), rebuild=lambda block: out[block] * sign[block])
 
 
 def tanh_l1_graph(scores: T.Tensor) -> SignedGraph:
     """tanh(s) normalized by the row L1 norm; all-zero rows stay all-zero.
 
     One tape node that keeps tanh(s) and the row norms, not its output, which
-    ``rebuild()`` divides again. Its backward takes the derivative of the
-    tanh, |.|, row-sum and division chain in that chain's own order, in two
-    scratch arrays.
+    ``rebuild`` divides again. The row norms and the backward run block by
+    block; the backward takes the derivative of the tanh, |.|, row-sum and
+    division chain in that chain's own order, in its output and one scratch
+    block.
     """
     th = np.tanh(scores.data)
-    denom = np.abs(th).sum(axis=-1, keepdims=True)
+    denom = np.empty(th.shape[:-1] + (1,))
+    blocks = _blocks(th)
+    for b in blocks:  # |tanh| one block at a time
+        np.abs(th[b]).sum(axis=-1, keepdims=True, out=denom[b])
     denom += denom == 0.0  # an all-zero row divides by 1
 
-    def weights():
-        return th / denom
-
     def _bw(g):
-        t = g * th
-        t /= -(denom * denom)  # the sign of -g * th / denom², carried by the divisor
-        g_denom = t.sum(axis=-1, keepdims=True)
-        g_th = g / denom
-        g_th += np.multiply(np.sign(th, out=t), g_denom, out=t)
-        np.multiply(th, th, out=t)
-        g_th *= np.subtract(1.0, t, out=t)
+        g_th = np.empty(g.shape)
+        for b in blocks:
+            tb, d, gb = th[b], denom[b], g[b]
+            t = gb * tb
+            t /= -(d * d)  # the sign of -g * th / denom², carried by the divisor
+            g_denom = t.sum(axis=-1, keepdims=True)
+            gt = np.divide(gb, d, out=g_th[b])
+            gt += np.multiply(np.sign(tb, out=t), g_denom, out=t)
+            np.multiply(tb, tb, out=t)
+            gt *= np.subtract(1.0, t, out=t)
         return (g_th,)
 
-    return SignedGraph(T._node(weights(), (scores,), _bw), rebuild=weights)
+    return SignedGraph(T._node(th / denom, (scores,), _bw),
+                       rebuild=lambda block: th[block] / denom[block])
 
 
 def plain_softmax_graph(scores: T.Tensor) -> SignedGraph:
@@ -160,30 +180,33 @@ def knn_sparsify(graph: SignedGraph, k: int) -> SignedGraph:
 
     Ties break toward the lower column index. The bool mask is a constant of
     the forward pass, applied in one tape node: gradients flow only through
-    retained entries.
+    retained entries. The mask is found block by block.
     """
     n = graph.weights.shape[-1]
     if not 1 <= k <= n:
         raise ConfigError(f"knn k must be in [1, {n}], got {k}")
-    absw = np.abs(graph.weights.data)
-    absw[np.isnan(absw)] = -1.0  # NaN ranks last, as in a sort
-    idx = np.arange(n)
-    absw[..., idx, idx] = np.inf  # self-edge ranks first
-    # Keep everything at or above the k-th largest |w|. Every row keeps at
-    # least k entries that way, so more than k per row on average means some
-    # row ties past its room; there, keep the lowest column indices.
-    # A copy of the k-th column, so that the sorted array is freed at once.
-    kth = np.sort(absw, axis=-1)[..., n - k : n - k + 1].copy()
-    mask = absw >= kth
-    if np.count_nonzero(mask) > k * (mask.size // n):
-        above = absw > kth
-        tie = mask & ~above
-        room = k - above.sum(axis=-1, keepdims=True)
-        mask = above | (tie & (np.cumsum(tie, axis=-1, dtype=np.int32) <= room))
-    del absw
     w, rebuild = graph.weights, graph.rebuild
+    mask = np.empty(w.shape, dtype=bool)
+    idx = np.arange(n)
+    for b in _blocks(w.data):
+        absw = np.abs(w.data[b])
+        absw[np.isnan(absw)] = -1.0  # NaN ranks last, as in a sort
+        absw[..., idx, idx] = np.inf  # self-edge ranks first
+        # Keep everything at or above the k-th largest |w|. Every row keeps at
+        # least k entries that way, so more than k per row on average means some
+        # row ties past its room; there, keep the lowest column indices.
+        # A copy of the k-th column, so that the sorted block is freed at once.
+        kth = np.sort(absw, axis=-1)[..., n - k : n - k + 1].copy()
+        kept = np.greater_equal(absw, kth, out=mask[b])
+        if np.count_nonzero(kept) > k * (kept.size // n):
+            above = absw > kth
+            tie = kept & ~above
+            room = k - above.sum(axis=-1, keepdims=True)
+            np.logical_or(above, tie & (np.cumsum(tie, axis=-1, dtype=np.int32) <= room),
+                          out=kept)
+    del absw  # the last block, freed before the output is made
     return SignedGraph(T._node(w.data * mask, (w,), lambda g: (g * mask,)), mask,
-                       lambda: rebuild() * mask)
+                       lambda block: rebuild(block) * mask[block])
 
 
 def gcn(window: T.Tensor, graph: SignedGraph, weight: T.Tensor) -> T.Tensor:
@@ -192,32 +215,48 @@ def gcn(window: T.Tensor, graph: SignedGraph, weight: T.Tensor) -> T.Tensor:
     ``weight`` holds the (H, d_h, d_h) per-head transforms W_h. The head split
     of ``window`` stays a taped view; the convolution after it is one tape
     node with parents ``(graph.weights, x_h, weight)`` that keeps ``x_h`` and
-    ``W``, and no graph: its backward asks ``graph.rebuild()`` for one. It
-    recomputes ``G @ x_h``, ``@ W_h`` and the sigmoid, and takes the chain's
-    derivative in that chain's own order.
+    ``W``, and no graph: its backward asks ``graph.rebuild`` for one block of
+    it at a time. It recomputes ``G @ x_h``, ``@ W_h`` and the sigmoid, and
+    takes the chain's derivative in that chain's own order. Forward and
+    backward run block by block into full-size outputs; ``W``'s per-window
+    gradients fill one full array, summed over the batch axes once.
     """
     d = window.shape[-1]
-    heads = graph.weights.shape[-3]
+    gd = graph.weights.data
+    heads = gd.shape[-3]
     if d % heads != 0:
         raise ConfigError(f"gcn heads ({heads}) must divide feature width ({d})")
     xh = split_heads(window, heads)  # (..., H, n, d_h)
-    rebuild, xd, wd = graph.rebuild, xh.data, weight.data
+    if gd.shape[:-2] != xh.shape[:-2]:
+        raise ShapeError(f"gcn graph {gd.shape} does not fit head-split nodes {xh.shape}")
+    rebuild, xd, wd, g_shape = graph.rebuild, xh.data, weight.data, gd.shape
     need_g, need_x, need_w = graph.weights.requires_grad, xh.requires_grad, weight.requires_grad
+    blocks = _blocks(gd)
+    conv = np.empty(window.shape)
+    conv_h = _split_heads(conv, heads)  # a view: each block's heads land merged in conv
+    for b in blocks:
+        conv_h[b] = T._silu(gd[b] @ xd[b] @ wd)
 
     def _bw(g):
-        gd = rebuild()
-        agg = gd @ xd
-        pre = agg @ wd
-        g = T._silu_grad(_split_heads(g, heads), pre, T._sigmoid(pre))
-        g_w = T._unbroadcast(np.swapaxes(agg, -1, -2) @ g, wd.shape) if need_w else None
-        g_agg = g @ np.swapaxes(wd, -1, -2)
-        return (T._unbroadcast(g_agg @ np.swapaxes(xd, -1, -2), gd.shape) if need_g else None,
-                T._unbroadcast(np.swapaxes(gd, -1, -2) @ g_agg, xd.shape) if need_x else None,
-                g_w)
+        g = _split_heads(g, heads)
+        g_g = np.empty(g_shape) if need_g else None
+        g_x = np.empty(xd.shape) if need_x else None
+        g_w = np.empty(xd.shape[:-2] + wd.shape[-2:]) if need_w else None
+        for b in blocks:
+            gb = rebuild(b)
+            agg = gb @ xd[b]
+            pre = agg @ wd
+            g_pre = T._silu_grad(g[b], pre, T._sigmoid(pre))
+            if need_w:
+                np.matmul(np.swapaxes(agg, -1, -2), g_pre, out=g_w[b])
+            g_agg = g_pre @ np.swapaxes(wd, -1, -2)
+            if need_g:
+                np.matmul(g_agg, np.swapaxes(xd[b], -1, -2), out=g_g[b])
+            if need_x:
+                np.matmul(np.swapaxes(gb, -1, -2), g_agg, out=g_x[b])
+        return g_g, g_x, T._unbroadcast(g_w, wd.shape) if need_w else None
 
-    conv = T._node(_merge_heads(T._silu(graph.weights.data @ xd @ wd)),
-                   (graph.weights, xh, weight), _bw)
-    return window + conv
+    return window + T._node(conv, (graph.weights, xh, weight), _bw)
 
 
 def pool_windows(gcn_out: T.Tensor, mode: str = "mean") -> T.Tensor:
@@ -301,8 +340,8 @@ def context_spatial_extract(tokens: T.Tensor, p: SpatialParams) -> T.Tensor:
     else:
         nodes = tokens.reshape(tokens.shape[:-3] + (graphs, n_nodes, d))  # (..., 1, C*N, D)
         k = n_nodes  # every edge kept
-    scores = signed_distance(nodes, p.q, p.heads)
-    graph = knn_sparsify(GRAPH_BUILDERS[p.graph_variant](scores), k)
+    # Unnamed, the scores are freed once the graph builder returns, its graph once KNN has.
+    graph = knn_sparsify(GRAPH_BUILDERS[p.graph_variant](signed_distance(nodes, p.q, p.heads)), k)
     out = gcn(nodes, graph, p.gcn_weight)
     if p.mode == "local":
         return pool_windows(out, p.pool)

@@ -51,10 +51,6 @@ VARIANTS = (
 _CKPT_VERSION = 5
 _CKPT_META = "__meta__"  # 0-d str array: JSON {"version", "config"}; no parameter has this name
 
-# A no-tape forward runs its batch in blocks of windows whose largest intermediate
-# fits in this many bytes, so temporaries stay in cache whatever the batch size.
-_BLOCK_BYTES = 1 << 20
-
 
 @dataclass
 class ModelConfig:
@@ -240,7 +236,9 @@ def feed_forward(h: T.Tensor, w1: T.Tensor, b1: T.Tensor, w2: T.Tensor,
     The node keeps ``h`` and the pre-activation, not the sigmoid or the SiLU
     output: its backward recomputes both from the pre-activation and takes
     the derivative of the linear, SiLU and linear chain in that chain's own
-    order. Without a tape the pre-activation is freed as soon as the SiLU
+    order. It takes ``w2``'s gradient first, so the SiLU output is freed
+    before the hidden layer's gradient exists, and runs the SiLU gradient in
+    place. Without a tape the pre-activation is freed as soon as the SiLU
     output exists.
     """
     hd, w1d, w2d, sb1, sb2 = h.data, w1.data, w2.data, b1.shape, b2.shape
@@ -249,10 +247,11 @@ def feed_forward(h: T.Tensor, w1: T.Tensor, b1: T.Tensor, w2: T.Tensor,
 
     def _bw(g):
         s = T._sigmoid(pre)
-        act = s * pre if need[3] else None
-        g_act, g_w2, g_b2 = T._affine_grads(g, act, w2d, sb2, (True, *need[3:]))
-        del act
-        g_h, g_w1, g_b1 = T._affine_grads(T._silu_grad(g_act, pre, s), hd, w1d, sb1, need[:3])
+        g_w2 = T._affine_grads(g, s * pre, w2d, sb2, (False, True, False))[1] if need[3] else None
+        g_act, _, g_b2 = T._affine_grads(g, None, w2d, sb2, (True, False, need[4]))
+        g_act = T._silu_grad(g_act, pre, s, out=g_act)  # g_act is this closure's own array
+        del s
+        g_h, g_w1, g_b1 = T._affine_grads(g_act, hd, w1d, sb1, need[:3])
         return g_h, g_w1, g_b1, g_w2, g_b2
 
     act = T._silu(pre)
@@ -395,9 +394,9 @@ class SeedModel:
     def block_windows(self, n_vars: int) -> int:
         """Windows per block of a no-tape forward over ``n_vars`` variables.
 
-        The byte budget over one window's float64 share of the largest
-        intermediate: the FFN hidden layer, the attention scores or the
-        spatial pathway's per-head signed graphs.
+        The byte budget ``tensor._BLOCK_BYTES`` over one window's float64
+        share of the largest intermediate: the FFN hidden layer, the
+        attention scores or the spatial pathway's per-head signed graphs.
         """
         cfg, wiring = self.config, self.wiring
         n = cfg.n_patches
@@ -407,7 +406,7 @@ class SeedModel:
         if wiring["spatial"]:
             graphs, nodes = node_layout(wiring["spatial_mode"], n_vars, n)
             sizes.append(graphs * cfg.heads * nodes * nodes)  # (graphs, H, nodes, nodes)
-        return max(1, _BLOCK_BYTES // (8 * max(sizes)))
+        return max(1, T._BLOCK_BYTES // (8 * max(sizes)))
 
     def _as_batch(self, window) -> tuple[np.ndarray, bool]:
         """A checked (B, C, L) float64 batch, and whether ``window`` was one (C, L) window."""

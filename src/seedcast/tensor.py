@@ -23,6 +23,12 @@ from .errors import InputError, ShapeError
 
 _GRAD_ENABLED = True
 
+# Work over a batch runs in blocks whose largest intermediate fits in this many
+# bytes: a no-tape forward in blocks of windows, a graph stage in blocks of its
+# leading axis. Temporaries then stay in cache and small beside the tape,
+# whatever the batch size.
+_BLOCK_BYTES = 1 << 20
+
 
 class no_grad:
     """Context manager: ops inside build no tape (pure evaluation)."""
@@ -287,21 +293,6 @@ def div(a, b) -> Tensor:
         lambda g: _unbroadcast(-g * ad / (bd * bd), sb)))
 
 
-def maximum(a, b) -> Tensor:
-    """Elementwise max; on ties the gradient routes to the first argument."""
-    a, b = _ensure(a), _ensure(b)
-    _check_broadcast(a, b, "maximum")
-    ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
-    need_a, need_b = a.requires_grad, b.requires_grad
-
-    def _bw(g):
-        mask = (ad >= bd).astype(np.float64)
-        return (_unbroadcast(g * mask, sa) if need_a else None,
-                _unbroadcast(g * (1.0 - mask), sb) if need_b else None)
-
-    return _node(np.maximum(ad, bd), (a, b), _bw)
-
-
 # -- elementwise unary ops ----------------------------------------------------
 
 
@@ -337,13 +328,13 @@ def _silu(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def _silu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _silu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray, out=None) -> np.ndarray:
     """The gradient of ``x * sigmoid(x)`` for upstream ``g``, given ``s = sigmoid(x)``.
 
     The same arithmetic, in the same order, as a SiLU that kept its sigmoid.
-    ``s`` is overwritten.
+    ``s`` is overwritten, and so is ``out`` (which may be ``g``) when given.
     """
-    out = g * s
+    out = np.multiply(g, s, out=out)
     d = np.subtract(1.0, s, out=s)
     d *= x
     d += 1.0
@@ -402,13 +393,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
         return tuple(grads)
 
     return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, _bw)
-
-
-def stack(tensors, axis: int = 0) -> Tensor:
-    tensors = [_ensure(t) for t in tensors]
-    n = len(tensors)
-    return _node(np.stack([t.data for t in tensors], axis=axis), tensors,
-                 lambda g: tuple(np.take(g, i, axis=axis) for i in range(n)))
 
 
 # -- reductions ----------------------------------------------------------------

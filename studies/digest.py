@@ -11,7 +11,10 @@ which parts moved:
 - ``forecast``: per variant at 8 and 21 variables, a no-tape forward over
   several blocks, of one window and of an empty batch;
 - ``train``: per variant, a seeded 2-epoch micro ``train()``: its metrics
-  (without wall-clock time) and final weights.
+  (without wall-clock time) and final weights;
+- ``cli``: acceptance criterion 9's ``seedcast train`` run: its
+  ``metrics.json`` without wall-clock fields, and the bytes of its saved
+  checkpoint.
 
 The last line hashes all the sections' digests. Run from the repository root:
 
@@ -24,14 +27,19 @@ threads (``SEED_NUM_THREADS=1``) when comparing two commits.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import itertools
+import json
 import os
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from seedcast import data as D  # noqa: E402  (first: it applies SEED_NUM_THREADS)
+from seedcast import cli  # noqa: E402
 from seedcast import tensor as T  # noqa: E402
 from seedcast import training as TR  # noqa: E402
 from seedcast.model import VARIANTS, ModelConfig, SeedModel  # noqa: E402
@@ -46,6 +54,10 @@ STEP_SETTINGS = {
     "knn_k_3": {"knn_k": 3},
 }
 MICRO_CONFIG = dict(lookback=16, horizon=8, patch_len=4, d_model=8, heads=2, n_layers=2)
+# Acceptance criterion 9's run, after its data file and output directory.
+CLI_ARGS = ["--split", "6:2:2", "--lookback", "32", "--horizon", "8", "--patch-len", "8",
+            "--d-model", "8", "--heads", "2", "--layers", "1", "--epochs", "2", "--batch", "32",
+            "--seed", "13"]
 
 
 def _update(h, *arrays):
@@ -105,10 +117,30 @@ def _train() -> str:
     return h.hexdigest()
 
 
+def _cli() -> str:
+    h = hashlib.sha256()
+    ds = D.synthetic_mixture(n_sine=2, n_noise=2, length=600, periods=(12, 24), seed=5)
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, out = os.path.join(tmp, "mix.csv"), os.path.join(tmp, "run")
+        D.write_csv(csv_path, ds.values, ds.columns)
+        with contextlib.redirect_stdout(io.StringIO()):  # the run's summary line
+            code = cli.main(["train", "--data", csv_path, "--out", out, *CLI_ARGS])
+        if code != 0:
+            raise RuntimeError(f"seedcast train exited {code}")
+        with open(os.path.join(out, "metrics.json")) as fh:
+            metrics = json.load(fh)
+        metrics.pop("seconds")  # the one wall-clock field
+        h.update(json.dumps(metrics, sort_keys=True).encode())
+        with open(os.path.join(out, "model.ckpt"), "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
 SECTIONS = {
     **{f"step.{name}": (lambda s=setting: _step(s)) for name, setting in STEP_SETTINGS.items()},
     "forecast": _forecast,
     "train": _train,
+    "cli": _cli,
 }
 
 

@@ -59,11 +59,37 @@ def feed_forward(h, w1, b1, w2, b2):
     return T.linear(silu(T.linear(h, w1, b1)), w2, b2)
 
 
+def stack(tensors, axis=0):
+    """np.stack as one tape node, a step of the window chain below."""
+    tensors = [T._ensure(t) for t in tensors]
+    n = len(tensors)
+    return T._node(np.stack([t.data for t in tensors], axis=axis), tensors,
+                   lambda g: tuple(np.take(g, i, axis=axis) for i in range(n)))
+
+
+def maximum(a, b):
+    """Elementwise max as one tape node, a step of the max-pool chain below.
+
+    On ties the gradient routes to the first argument.
+    """
+    a, b = T._ensure(a), T._ensure(b)
+    T._check_broadcast(a, b, "maximum")
+    ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
+    need_a, need_b = a.requires_grad, b.requires_grad
+
+    def _bw(g):
+        mask = (ad >= bd).astype(np.float64)
+        return (T._unbroadcast(g * mask, sa) if need_a else None,
+                T._unbroadcast(g * (1.0 - mask), sb) if need_b else None)
+
+    return T._node(np.maximum(ad, bd), (a, b), _bw)
+
+
 def make_windows(tokens):
     c, n, d = tokens.shape[-3], tokens.shape[-2], tokens.shape[-1]
     prev = tokens[..., :, : n - 1, :]
     nxt = tokens[..., :, 1:, :]
-    paired = T.swapaxes(T.stack([prev, nxt], axis=-2), -4, -3)  # (..., K, C, 2, D)
+    paired = T.swapaxes(stack([prev, nxt], axis=-2), -4, -3)  # (..., K, C, 2, D)
     return paired.reshape(paired.shape[:-3] + (2 * c, d))
 
 
@@ -82,7 +108,7 @@ def pool_windows(gcn_out, mode="mean"):
     last = slot1[..., k2 - 1 : k2, :, :]
     a = slot1[..., : k2 - 1, :, :]
     b = slot0[..., 1:, :, :]
-    mid = (a + b) * 0.5 if mode == "mean" else T.maximum(a, b)
+    mid = (a + b) * 0.5 if mode == "mean" else maximum(a, b)
     stacked = T.concat([first, mid, last], axis=-3)  # (..., N, C, D)
     return T.swapaxes(stacked, -3, -2)
 

@@ -101,6 +101,22 @@ class TestTrain:
         manifest = json.load(open(os.path.join(out, "manifest.json")))
         assert manifest["model_config"]["variant"] == "wo_cse"
 
+    @pytest.mark.parametrize("cap", [
+        {"SEED_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None},
+        {"SEED_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "2"},
+    ], ids=["seed_and_openblas", "omp_only"])
+    def test_thread_cap_recorded_in_manifest(self, tiny_csv, tmp_path, monkeypatch, cap):
+        # Seeded gradients depend on the BLAS thread count; the manifest names the cap.
+        for name, value in cap.items():
+            if value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, value)
+        out = str(tmp_path / "run_threads")
+        assert run(["train", "--data", tiny_csv, "--split", "6:2:2", "--out", out] + TINY) == 0
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        assert manifest["thread_cap"] == cap
+
     def test_zero_epochs_still_emits_metrics(self, tiny_csv, tmp_path):
         out = str(tmp_path / "run0")
         argv = ["train", "--data", tiny_csv, "--split", "6:2:2", "--out", out] + TINY

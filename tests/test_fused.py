@@ -6,7 +6,8 @@
 hand-written backward. Their values and gradients must match the chains bit
 for bit, their gradients must pass a finite-difference check, their nodes
 must hang directly off their inputs, and they must keep fewer arrays on the
-tape than the chains did.
+tape than the chains did. The graph stages, which run in blocks of the
+batch, must give the same bits in several blocks as in one.
 """
 
 import tracemalloc
@@ -23,7 +24,7 @@ from seedcast import tensor as T
 from seedcast import training as TR
 from seedcast.errors import ShapeError
 from seedcast.model import VARIANTS, ModelConfig, SeedModel
-from tests_helpers import grad_check_many, tape_bytes
+from tests_helpers import grad_check_many, spatial_params, tape_bytes
 
 
 def _run(op, arrays, seed):
@@ -190,22 +191,88 @@ class TestKnnSparsify:
 
 
 class TestRebuild:
-    """``SignedGraph.rebuild()`` gives back the weights bit for bit, whatever built them."""
+    """``SignedGraph.rebuild(block)`` gives back that block of the weights bit for bit,
+    whatever built them."""
+
+    BLOCKS = (slice(None), slice(0, 1), slice(1, 3), slice(2, 3))
 
     @pytest.mark.parametrize("builder", sorted(G.GRAPH_BUILDERS))
     def test_every_builder_then_knn(self, builder):
         rng = np.random.default_rng(16)
-        s = rng.normal(size=(2, 3, 9, 9))
+        s = rng.normal(size=(3, 3, 9, 9))
         s[0, 1, 2] = 0.0  # an all-zero row, and zero scores in the softmax signs
         graph = G.GRAPH_BUILDERS[builder](T.Tensor(s, requires_grad=True))
-        assert graph.rebuild().tobytes() == graph.weights.data.tobytes()
-        for k in (1, 4, 9):
-            sparse = G.knn_sparsify(graph, k)
-            assert sparse.rebuild().tobytes() == sparse.weights.data.tobytes()
+        for k in (None, 1, 4, 9):
+            sparse = graph if k is None else G.knn_sparsify(graph, k)
+            for block in self.BLOCKS:
+                assert (sparse.rebuild(block).tobytes()
+                        == sparse.weights.data[block].tobytes()), (k, block)
 
     def test_hand_built_graph_keeps_its_weights(self):
         w = T.Tensor(np.arange(8.0).reshape(2, 2, 2))
-        assert G.SignedGraph(w).rebuild() is w.data
+        whole = G.SignedGraph(w).rebuild(slice(None))
+        assert np.shares_memory(whole, w.data) and np.array_equal(whole, w.data)
+
+
+def _window_graph_shape(mode, n_vars, n_patches, heads):
+    """The shape of one window's graphs in spatial ``mode``: (graphs, H, nodes, nodes)."""
+    graphs, nodes = G.node_layout(mode, n_vars, n_patches)
+    return (graphs, heads, nodes, nodes)
+
+
+class TestBlocks:
+    """The graph stages give the same bits in blocks as in one block.
+
+    The block budget is patched down to two windows' graphs, so a batch of
+    five windows runs in blocks of 2, 2 and 1.
+    """
+
+    B, C, N, D, H = 5, 3, 4, 8, 2
+
+    def _step(self, tokens, p):
+        """Output and every gradient of one spatial pathway, as bytes."""
+        x = T.Tensor(tokens, requires_grad=True)
+        p.q.zero_grad()
+        p.gcn_weight.zero_grad()
+        out = G.context_spatial_extract(x, p)
+        out.backward(np.random.default_rng(1).normal(size=out.shape))
+        return [a.tobytes() for a in (out.data, x.grad, p.q.grad, p.gcn_weight.grad)]
+
+    @pytest.mark.parametrize("case", ["default_k", "knn_k_3", "ties", "nan"])
+    @pytest.mark.parametrize("mode", ["local", "same_step", "global"])
+    @pytest.mark.parametrize("builder", sorted(G.GRAPH_BUILDERS))
+    def test_spatial_pathway(self, builder, mode, case, monkeypatch):
+        rng = np.random.default_rng(21)
+        tokens = rng.normal(size=(self.B, self.C, self.N, self.D))
+        p = spatial_params(self.D, self.H, rng, variant=builder, mode=mode,
+                           knn_k={"knn_k_3": 3, "ties": 2}.get(case))
+        if case == "ties":
+            # Integer scores: many rows tie at their k-th largest |weight|.
+            tokens = np.round(tokens * 1.5)
+            p.q = T.Tensor(np.eye(self.D // self.H), requires_grad=True)
+        if case == "nan":
+            tokens[1, 2, 3, 4] = np.nan  # NaN scores in every graph that holds this token
+        window_graph = _window_graph_shape(mode, self.C, self.N, self.H)
+
+        seen, knn = [], G.knn_sparsify
+
+        def spy(graph, k):  # keeps the graph KNN sees, to check that its ties are there
+            seen.append((graph.weights.data, k))
+            return knn(graph, k)
+
+        monkeypatch.setattr(G, "knn_sparsify", spy)
+        monkeypatch.setattr(T, "_BLOCK_BYTES", 1 << 40)
+        whole = self._step(tokens, p)
+        monkeypatch.setattr(T, "_BLOCK_BYTES", 2 * 8 * int(np.prod(window_graph)))
+        assert len(G._blocks(np.empty((self.B,) + window_graph))) == 3
+        assert self._step(tokens, p) == whole
+        if case == "ties" and mode != "global":
+            w, k = seen[0]
+            n = w.shape[-1]
+            absw = np.abs(w)
+            absw[..., np.arange(n), np.arange(n)] = np.inf  # the self-edge ranks first
+            absw.sort(axis=-1)
+            assert np.any(absw[..., n - k] == absw[..., n - k - 1])  # a tie at the k-th
 
 
 class TestSpatialLayout:
@@ -420,6 +487,31 @@ class TestTapeNodes:
         # The same at train_mixture8's shape: 156.0, 90.1, 60.1, now 50.1 MiB.
         assert self._default_step_tape(8, 64) <= 52 * 2**20
 
+    @staticmethod
+    def _default_step_peak_above_tape(n_vars, batch):
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=(batch, n_vars, 96)), rng.normal(size=(batch, n_vars, 96))
+        model = SeedModel(ModelConfig(n_vars=n_vars))
+        tracemalloc.start()
+        try:
+            loss = TR.total_loss(y, model.forward(x), 0.1)
+            tape = tape_bytes(loss)
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - tape
+
+    def test_default_step_peak_at_21_variables(self):
+        # What a default-width `full` train step allocates beyond its tape at
+        # train_weather21's shape. The graph stages on whole arrays and
+        # backwards that kept their scratch took it 16.4 MiB over; 3.9 MiB now.
+        assert self._default_step_peak_above_tape(21, 32) < 8 * 2**20
+
+    def test_default_step_peak_at_8_variables(self):
+        # The same at train_mixture8's shape: 6.7 MiB before, 2.7 MiB now.
+        assert self._default_step_peak_above_tape(8, 64) < 5 * 2**20
+
     def test_no_tape_feed_forward_frees_its_pre_activation(self):
         # Without a tape, at most two hidden-layer arrays (each twice h) are
         # live at once: the pre-activation and the SiLU output, then the SiLU
@@ -468,6 +560,25 @@ class TestEveryWiring:
         for name in grads:
             np.testing.assert_array_equal(grads[name], want_grads[name], err_msg=name)
         assert size < want_size
+
+    def test_one_step_in_blocks_matches_one_block(self, variant, detach, monkeypatch):
+        # Five windows in blocks of two windows' graphs: 2, 2 and 1.
+        rng = np.random.default_rng(12)
+        x, y = rng.normal(size=(5, 3, 16)), rng.normal(size=(5, 3, 8))
+        cfg = ModelConfig(**MICRO, variant=variant, detach_entropy=detach)
+        window_graph = _window_graph_shape(SeedModel(cfg).wiring["spatial_mode"], 3,
+                                           cfg.n_patches, cfg.heads)
+
+        def step(budget):
+            monkeypatch.setattr(T, "_BLOCK_BYTES", budget)
+            model = SeedModel(cfg)
+            out = model.forward(x)
+            loss = TR.total_loss(y, out, 0.1)
+            loss.backward()
+            return (out.data.tobytes(), loss.data.tobytes(),
+                    {k: p.grad.tobytes() for k, p in model.named_params().items()})
+
+        assert step(2 * 8 * int(np.prod(window_graph))) == step(1 << 40)
 
     def test_seeded_trajectory_matches_oracles(self, variant, detach, monkeypatch,
                                                micro_splits):

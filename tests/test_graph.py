@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from oracles import maximum
 from seedcast import graph as G
 from seedcast import tensor as T
-from seedcast.errors import ConfigError
+from seedcast.errors import ConfigError, ShapeError
 from tests_helpers import grad_check_many, param_tensors, spatial_params
 
 
@@ -46,7 +47,7 @@ def overlap_pool(e_prev, e_curr, mode="mean"):
     if e_curr is None:
         return _slot(e_prev, 1)
     a, b = _slot(e_prev, 1), _slot(e_curr, 0)
-    return (a + b) * 0.5 if mode == "mean" else T.maximum(a, b)
+    return (a + b) * 0.5 if mode == "mean" else maximum(a, b)
 
 
 class TestMakeWindows:
@@ -275,6 +276,14 @@ class TestGcn:
         out = G.gcn(T.Tensor(x), G.SignedGraph(T.Tensor(adj)), T.Tensor(w))
         expected = x + silu((adj[0] @ x) @ w[0])
         assert np.abs(out.data - expected).max() < 1e-10
+
+
+    def test_graph_must_match_the_nodes(self):
+        # A graph is per window and head: it does not broadcast over the batch.
+        x = T.Tensor(np.zeros((3, 4, 6)))
+        graph = G.SignedGraph(T.Tensor(np.zeros((1, 2, 4, 4))))
+        with pytest.raises(ShapeError, match="does not fit"):
+            G.gcn(x, graph, T.Tensor(np.zeros((2, 3, 3))))
 
 
 class TestOverlapPool:

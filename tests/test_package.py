@@ -20,7 +20,8 @@ def test_public_names_and_no_test_tools():
     assert sorted(seedcast.__all__) == PUBLIC
     for name in seedcast.__all__:
         assert getattr(seedcast, name, None) is not None, name
-    for name in ("exp", "log", "power", "tanh", "grad_check", "grad_check_many"):
+    for name in ("exp", "log", "power", "tanh", "stack", "maximum", "grad_check",
+                 "grad_check_many"):
         assert not hasattr(seedcast.tensor, name), name
     assert not hasattr(seedcast.Tensor, "__pow__")
     for name in ("ShapingFilter", "wiener_khinchin_pair"):
