@@ -357,10 +357,12 @@ class SeedModel:
         return {k: v.data.copy() for k, v in self.named_params().items()}
 
     def load_state_arrays(self, state: dict[str, np.ndarray]):
+        """Copy every parameter from ``state``; on a ConfigError the model is unchanged."""
         reg = self.named_params()
         missing = reg.keys() - state.keys()
         if missing:
             raise ConfigError(f"state lacks parameters {sorted(missing)}")
+        new = {}
         for k, v in state.items():
             if k not in reg:
                 raise ConfigError(f"unknown parameter {k!r} in state")
@@ -368,7 +370,11 @@ class SeedModel:
                 raise ConfigError(
                     f"parameter {k!r} shape mismatch: model {reg[k].shape}, state {v.shape}"
                 )
-            reg[k].data = v.astype(np.float64).copy()
+            new[k] = v.astype(np.float64)  # a copy: the model never aliases ``state``
+            if not np.isfinite(new[k]).all():
+                raise ConfigError(f"parameter {k!r} holds non-finite values")
+        for k, data in new.items():
+            reg[k].data = data
             reg[k].grad = None
 
     # -- forward ----------------------------------------------------------------

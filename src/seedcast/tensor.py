@@ -170,9 +170,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return take(self, idx)
 
@@ -424,31 +421,6 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 # -- linear algebra -------------------------------------------------------------
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _ensure(a), _ensure(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError:
-        raise ShapeError(f"matmul batch dimensions do not broadcast: {a.shape} @ {b.shape}") from None
-    ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
-
-    if b.ndim == 2:
-        # Plain weight matrix: collapse batch dims into one DGEMM each way.
-        k, n = sb
-        a2 = ad.reshape(-1, k)
-        return _node((a2 @ bd).reshape(sa[:-1] + (n,)), (a, b), _wanted(
-            (a, b), lambda g: (g.reshape(-1, n) @ bd.T).reshape(sa),
-            lambda g: ad.reshape(-1, k).T @ g.reshape(-1, n)))
-
-    return _node(ad @ bd, (a, b), _wanted(
-        (a, b), lambda g: _unbroadcast(g @ np.swapaxes(bd, -1, -2), sa),
-        lambda g: _unbroadcast(np.swapaxes(ad, -1, -2) @ g, sb)))
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -154,7 +154,10 @@ class DatasetSplits:
 
 # -- evaluation -------------------------------------------------------------------
 
-EVAL_BATCH = 256  # windows per no-tape forward in evaluation
+# Windows per no-tape forward in evaluation. ``forward`` already cuts its batch
+# into cache-sized blocks; this batch stays because perfbench/child.py times each
+# no-tape forward as one forecast batch (its own EVAL_BATCH holds this value).
+EVAL_BATCH = 256
 
 
 def _forecast_batched(model: SeedModel, split: SplitWindows) -> np.ndarray:

@@ -12,10 +12,37 @@ from seedcast import attention as A
 from seedcast import graph as G
 from seedcast import model as M
 from seedcast import tensor as T
+from seedcast.errors import ShapeError
+
+
+def matmul(a, b):
+    """``a @ b`` as one tape node, the product step of the chains below."""
+    a, b = T._ensure(a), T._ensure(b)
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
+    try:
+        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    except ValueError:
+        raise ShapeError(f"matmul batch dimensions do not broadcast: {a.shape} @ {b.shape}") from None
+    ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
+
+    if b.ndim == 2:
+        # Plain weight matrix: collapse batch dims into one DGEMM each way.
+        k, n = sb
+        a2 = ad.reshape(-1, k)
+        return T._node((a2 @ bd).reshape(sa[:-1] + (n,)), (a, b), T._wanted(
+            (a, b), lambda g: (g.reshape(-1, n) @ bd.T).reshape(sa),
+            lambda g: ad.reshape(-1, k).T @ g.reshape(-1, n)))
+
+    return T._node(ad @ bd, (a, b), T._wanted(
+        (a, b), lambda g: T._unbroadcast(g @ np.swapaxes(bd, -1, -2), sa),
+        lambda g: T._unbroadcast(np.swapaxes(ad, -1, -2) @ g, sb)))
 
 
 def linear(x, w, b):
-    return T.matmul(x, w) + b
+    return matmul(x, w) + b
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
@@ -44,15 +71,15 @@ def temporal_attention(tokens, params):
     q = A.split_heads(T.linear(tokens, params.wq, params.bq), h)
     k = A.split_heads(T.linear(tokens, params.wk, params.bk), h)
     v = A.split_heads(T.linear(tokens, params.wv, params.bv), h)
-    scores = T.matmul(q, T.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(d // h))
+    scores = matmul(q, T.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(d // h))
     attn = T.softmax(scores, axis=-1)
-    return T.linear(merge_heads(T.matmul(attn, v)), params.wo, params.bo)
+    return T.linear(merge_heads(matmul(attn, v)), params.wo, params.bo)
 
 
 def gcn(window, graph, weight):
     xh = A.split_heads(window, graph.weights.shape[-3])
-    agg = T.matmul(graph.weights, xh)
-    return window + merge_heads(silu(T.matmul(agg, weight)))
+    agg = matmul(graph.weights, xh)
+    return window + merge_heads(silu(matmul(agg, weight)))
 
 
 def feed_forward(h, w1, b1, w2, b2):
@@ -95,7 +122,7 @@ def make_windows(tokens):
 
 def signed_distance(window, q, heads):
     xh = A.split_heads(window, heads)
-    return T.matmul(T.matmul(xh, q), T.swapaxes(xh, -1, -2))
+    return matmul(matmul(xh, q), T.swapaxes(xh, -1, -2))
 
 
 def pool_windows(gcn_out, mode="mean"):

@@ -249,6 +249,19 @@ class TestEval:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_weight_fails_cleanly(self, tiny_csv, tmp_path, capsys, bad):
+        # A well-formed archive whose weights would forecast NaN for every window.
+        ckpt = str(tmp_path / "model.ckpt")
+        model = SeedModel(ModelConfig(lookback=16, horizon=4, patch_len=4, d_model=8,
+                                      heads=2, n_layers=1, n_vars=4))
+        model.head.bias.data[1] = bad
+        model.save(ckpt)
+        code = run(["eval", "--ckpt", ckpt, "--data", tiny_csv, "--split", "6:2:2"])
+        captured = capsys.readouterr()
+        assert code == 1 and "mse=" not in captured.out
+        assert captured.err.startswith("error:") and "'head.bias'" in captured.err
+
 
 class TestAnalyze:
     def test_synthetic_grid_row_count(self, tmp_path):

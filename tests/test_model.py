@@ -547,6 +547,17 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="filter"):
             SeedModel(micro_config(detach_entropy=False)).load_state_arrays(model.state_arrays())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_state_nonfinite_parameter(self, bad):
+        model = SeedModel(micro_config())
+        before = model.state_arrays()
+        state = {k: v + 1.0 for k, v in before.items()}
+        state["head.bias"][0] = bad
+        with pytest.raises(ConfigError, match="'head.bias'.*non-finite"):
+            model.load_state_arrays(state)
+        after = model.state_arrays()
+        assert all(np.array_equal(before[k], after[k]) for k in before)
+
 
 class TestFullModelGradient:
     def test_micro_config_gradients(self):

