@@ -43,6 +43,7 @@ from .errors import (  # noqa: E402
     DivergenceError,
     InputError,
     NumericError,
+    SeedcastError,
     ShapeError,
 )
 from .tensor import Tensor, no_grad  # noqa: E402
@@ -73,7 +74,7 @@ __all__ = [
     "Adam", "ConfigError", "DataError", "Dataset",
     "DegenerateInputError", "DivergenceError", "InputError",
     "MetricsReport", "ModelConfig", "NumericError", "RngState", "SeedModel",
-    "ShapeError", "SyntheticSpec", "Tensor", "TrainConfig",
+    "SeedcastError", "ShapeError", "SyntheticSpec", "Tensor", "TrainConfig",
     "acf_entropy_study", "apply_variant", "autocorrelation", "evaluate",
     "generate_synthetic", "load_csv",
     "loss_pred", "loss_spen", "make_splits", "no_grad", "spectral_entropy",

@@ -8,19 +8,12 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import data as D
-from .errors import (
-    ConfigError,
-    DataError,
-    DegenerateInputError,
-    DivergenceError,
-    InputError,
-    ShapeError,
-)
+from .errors import ConfigError, DataError, DegenerateInputError, InputError, SeedcastError
 from .model import VARIANTS, ModelConfig, SeedModel
 from .spectral import SyntheticSpec, acf_entropy_study, autocorrelation, spectral_entropy
 from .training import TrainConfig, evaluate, train
@@ -53,12 +46,13 @@ def _parse_grid(text: str) -> list[float]:
 
 def _registry_with_overrides(args) -> dict:
     reg = dict(D.REGISTRY)
-    if getattr(args, "registry", None):
+    if args.registry:
         reg.update(D.load_registry_file(args.registry))
     return reg
 
 
 def _load_dataset(args) -> D.Dataset:
+    """The ``--data`` CSV, read by its registry entry; ``--split`` overrides the entry's split."""
     if not args.data:
         raise DataError("--data CSV path is required")
     reg = _registry_with_overrides(args)
@@ -66,14 +60,10 @@ def _load_dataset(args) -> D.Dataset:
     entry = reg.get(name, {})
     date_col = args.date_col or entry.get("date_col", False)
     ds = D.load_csv(args.data, date_col=date_col, name=name)
-    if args.split:
+    if getattr(args, "split", None):
         ds.split_ratio = D.parse_ratio(args.split)
     elif entry.get("split"):
         ds.split_ratio = entry["split"]
-    if ds.split_ratio is None:
-        raise DataError(
-            f"dataset {name!r} is not in the registry; pass --split (e.g. 7:1:2)"
-        )
     if ds.rejected_rows:
         print(f"note: dropped {ds.rejected_rows} rows with non-finite values",
               file=sys.stderr)
@@ -182,7 +172,7 @@ def cmd_analyze(args) -> int:
                   [(a, repr(p), repr(s)) for a, p, s in rows])
         return 0
     if args.data:
-        ds = D.load_csv(args.data, date_col=args.date_col)
+        ds = _load_dataset(args)
         max_lag = max(1, len(ds) // 2)
         rows = []
         for i, col in enumerate(ds.values.T):
@@ -203,13 +193,14 @@ def cmd_analyze(args) -> int:
 
 def cmd_ablate(args) -> int:
     ds = _load_dataset(args)
+    config = _config(ModelConfig, args, n_vars=ds.n_vars)
     tcfg = _config(TrainConfig, args)
-    splits = D.make_splits(ds, args.lookback, args.horizon,
+    splits = D.make_splits(ds, config.lookback, config.horizon,
                            standardize=not args.no_standardize)
     os.makedirs(args.out, exist_ok=True)
     rows = []
-    for variant in ("full",) + tuple(v for v in VARIANTS if v != "full"):
-        model = SeedModel(_config(ModelConfig, args, n_vars=ds.n_vars, variant=variant))
+    for variant in VARIANTS:
+        model = SeedModel(replace(config, variant=variant))
         model, report = train(model, splits, tcfg)
         rows.append((variant, repr(report.mse), repr(report.mae)))
         print(f"{variant:10s} mse={report.mse:.6f} mae={report.mae:.6f} "
@@ -227,39 +218,38 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _add_data_flags(p: argparse.ArgumentParser):
+def _add_data_flags(p: argparse.ArgumentParser, split: bool = True):
     p.add_argument("--data", help="CSV file with a header row")
     p.add_argument("--dataset", help="registry name (sets split and date column)")
-    p.add_argument("--split", help="train:val:test ratio, e.g. 6:2:2")
     p.add_argument("--date-col", action="store_true",
                    help="skip a leading date column")
     p.add_argument("--registry", help="JSON/TOML file with extra dataset entries")
-    p.add_argument("--no-standardize", action="store_true",
-                   help="skip global z-scoring by train-split statistics")
+    if split:
+        p.add_argument("--split", help="train:val:test ratio, e.g. 6:2:2")
+        p.add_argument("--no-standardize", action="store_true",
+                       help="skip global z-scoring by train-split statistics")
 
 
-def _add_model_flags(p: argparse.ArgumentParser):
-    p.add_argument("--lookback", type=int, default=96)
-    p.add_argument("--horizon", type=int, default=96)
-    p.add_argument("--patch-len", type=int, default=16)
-    p.add_argument("--d-model", type=int, default=64)
-    p.add_argument("--heads", type=int, default=4,
-                   help="attention and graph heads")
-    p.add_argument("--knn-k", type=int, default=None,
-                   help="edges kept per node (default: half the nodes)")
-    p.add_argument("--pool", choices=("mean", "max"), default="mean")
-    p.add_argument("--variant", choices=VARIANTS, default="full")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1,
+def _add_config_flags(p: argparse.ArgumentParser):
+    """One flag per ModelConfig/TrainConfig field; a flag left out keeps the field's default."""
+    g = p.add_argument_group("model and training (defaults: ModelConfig, TrainConfig)",
+                             argument_default=argparse.SUPPRESS)
+    g.add_argument("--lookback", type=int)
+    g.add_argument("--horizon", type=int)
+    g.add_argument("--patch-len", type=int)
+    g.add_argument("--d-model", type=int)
+    g.add_argument("--heads", type=int, help="attention and graph heads")
+    g.add_argument("--knn-k", type=int, help="edges kept per node (default: half the nodes)")
+    g.add_argument("--pool", choices=("mean", "max"))
+    g.add_argument("--variant", choices=VARIANTS)
+    g.add_argument("--lambda", dest="lam", type=float,
                    help="weight of the entropy-matching loss")
-    p.add_argument("--layers", dest="n_layers", type=int, default=2)
-
-
-def _add_train_flags(p: argparse.ArgumentParser):
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch", dest="batch_size", type=int, default=32)
-    p.add_argument("--lr", dest="learning_rate", type=float, default=1e-3)
-    p.add_argument("--patience", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    g.add_argument("--layers", dest="n_layers", type=int)
+    g.add_argument("--epochs", type=int)
+    g.add_argument("--batch", dest="batch_size", type=int)
+    g.add_argument("--lr", dest="learning_rate", type=float)
+    g.add_argument("--patience", type=int)
+    g.add_argument("--seed", type=int)
     p.add_argument("--out", default="seedcast_out")
 
 
@@ -272,8 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model and write metrics + checkpoint")
     _add_data_flags(p)
-    _add_model_flags(p)
-    _add_train_flags(p)
+    _add_config_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
@@ -291,15 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, default=512)
     p.add_argument("--seeds", type=int, default=1, help="replicates per alpha")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--data", help="CSV for per-variable analysis")
-    p.add_argument("--date-col", action="store_true")
+    _add_data_flags(p, split=False)
     p.add_argument("--out-csv", default=None, help="write here instead of stdout")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("ablate", help="train every variant with a shared seed")
     _add_data_flags(p)
-    _add_model_flags(p)
-    _add_train_flags(p)
+    _add_config_flags(p)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("synth", help="write a sine+noise mixture dataset to CSV")
@@ -318,8 +305,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError, InputError, ShapeError,
-            DegenerateInputError, DivergenceError) as exc:
+    except SeedcastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -224,7 +224,8 @@ def split_bounds(dataset: Dataset, ratio=None) -> tuple[int, int]:
     ratio = ratio if ratio is not None else dataset.split_ratio
     if ratio is None:
         raise DataError(
-            f"dataset {dataset.name!r} is not in the registry; pass an explicit split"
+            f"dataset {dataset.name!r} is not in the registry; pass a split ratio "
+            "(e.g. --split 7:1:2)"
         )
     a, b, c = _check_ratio(ratio)
     n, total = len(dataset), a + b + c

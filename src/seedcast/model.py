@@ -10,7 +10,6 @@ its wiring reads.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import numbers
 import os
@@ -99,6 +98,10 @@ class ModelConfig:
         # mode keeps every edge and ignores knn_k.
         wiring = apply_variant(self)
         mode = wiring["spatial_mode"]
+        if wiring["spatial"] and mode == "local" and self.n_patches < 2:
+            raise ConfigError(f"variant {self.variant} needs at least 2 patches for local "
+                              f"windows; lookback {self.lookback} / patch_len {self.patch_len} "
+                              "makes 1")
         if (self.knn_k is not None and self.n_vars is not None and wiring["spatial"]
                 and mode != "global"):
             nodes = node_layout(mode, self.n_vars, self.n_patches)[1]
@@ -436,9 +439,8 @@ class SeedModel:
         xn, stats = instance_normalize(x)
         ent = None  # read only by the fusions in _ENTROPY_FUSIONS
         if self.wiring["fusion"] in _ENTROPY_FUSIONS:
-            # Without a filter the entropy is a constant of the step: build no tape for it.
-            with T.no_grad() if self.filter_gain is None else contextlib.nullcontext():
-                ent = entropy_tensor(T.Tensor(xn), self.filter_gain, degenerate="zero")  # (B, C)
+            # Without a filter gain no input needs a gradient, so this builds no tape.
+            ent = entropy_tensor(T.Tensor(xn), self.filter_gain, degenerate="zero")  # (B, C)
         tokens = patch_and_embed(xn, self.embed)  # (B, C, N, D)
         for lp in self.layers:
             tokens = self._encoder_layer(tokens, ent, lp)

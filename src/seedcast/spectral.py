@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fft as _fft
 from . import tensor as T
 from .errors import DegenerateInputError, InputError, ShapeError
 from .rng import RngState
@@ -88,8 +87,7 @@ def spectral_entropy(x, remove_mean: bool = True) -> float:
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ShapeError(f"expected a 1-D series, got shape {x.shape}")
-    with T.no_grad():
-        return float(entropy_tensor(T.Tensor(x), remove_mean=remove_mean).data)
+    return float(entropy_tensor(T.Tensor(x), remove_mean=remove_mean).data)
 
 
 # -- autocorrelation -------------------------------------------------------------
@@ -101,12 +99,10 @@ def autocovariance_biased(x, max_lag: int) -> np.ndarray:
     L = x.shape[-1]
     if not 0 <= max_lag < L:
         raise InputError(f"max_lag must be in [0, {L - 1}], got {max_lag}")
-    x = x - x.mean(axis=-1, keepdims=True)
-    # Zero-pad to 2L so the circular correlation equals the linear one.
-    pad = np.concatenate([x, np.zeros_like(x)], axis=-1)
-    re, im = _fft.fft_complex(pad, np.zeros_like(pad))
-    cr, _ = _fft.ifft_complex(re * re + im * im, np.zeros_like(re))
-    return cr[..., : max_lag + 1] / L
+    # Zero-padded to 2L, the circular correlation equals the linear one.
+    z = np.fft.rfft(x - x.mean(axis=-1, keepdims=True), n=2 * L)
+    cov = np.fft.irfft(z.real * z.real + z.imag * z.imag, n=2 * L)
+    return cov[..., : max_lag + 1] / L
 
 
 def autocorrelation(x, max_lag: int) -> np.ndarray:

@@ -32,9 +32,8 @@ def target_entropy(y: np.ndarray) -> np.ndarray:
     ``y`` is copied C-contiguous first, so a strided view scores like its
     copy: numpy sums a strided axis in another order.
     """
-    with T.no_grad():
-        return entropy_tensor(T.Tensor(np.ascontiguousarray(y, dtype=np.float64)),
-                              degenerate="zero").data
+    return entropy_tensor(T.Tensor(np.ascontiguousarray(y, dtype=np.float64)),
+                          degenerate="zero").data
 
 
 def loss_spen(y, yhat: T.Tensor) -> T.Tensor:

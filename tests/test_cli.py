@@ -8,6 +8,7 @@ import pytest
 
 from seedcast import cli
 from seedcast import data as D
+from seedcast.errors import NumericError
 from seedcast.model import ModelConfig, SeedModel
 from seedcast.training import TrainConfig
 
@@ -26,6 +27,11 @@ def tiny_csv(tmp_path_factory):
 
 def run(argv):
     return cli.main(argv)
+
+
+def subparser(command: str) -> argparse.ArgumentParser:
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices[command]
 
 
 class TestSynth:
@@ -77,6 +83,14 @@ class TestBadInput:
         assert code == 1
         assert err.startswith("error:") and named in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_every_seedcast_error_fails_cleanly(self, monkeypatch, capsys):
+        def fail(args):
+            raise NumericError("forecast is not finite")
+
+        monkeypatch.setattr(cli, "cmd_synth", fail)
+        assert run(["synth", "--out-csv", "unused.csv"]) == 1
+        assert capsys.readouterr().err == "error: forecast is not finite\n"
 
 
 class TestTrain:
@@ -188,14 +202,21 @@ class TestConfigFlags:
 
     NOT_FLAGS = {"n_vars", "detach_entropy"}  # taken from the data; library only
 
+    FIELDS = {f.name for cls in (ModelConfig, TrainConfig) for f in fields(cls)}
+
     @pytest.mark.parametrize("command", ["train", "ablate"])
     def test_every_config_field_has_a_flag(self, command):
-        sub = next(a for a in cli.build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction)).choices[command]
-        dests = {a.dest for a in sub._actions if a.option_strings}
-        wanted = {f.name for cls in (ModelConfig, TrainConfig) for f in fields(cls)}
-        assert wanted - self.NOT_FLAGS <= dests, sorted(wanted - self.NOT_FLAGS - dests)
+        dests = {a.dest for a in subparser(command)._actions if a.option_strings}
+        wanted = self.FIELDS - self.NOT_FLAGS
+        assert wanted <= dests, sorted(wanted - dests)
         assert not self.NOT_FLAGS & dests
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_no_config_flag_has_a_default_of_its_own(self, command):
+        flags = [a for a in subparser(command)._actions if a.dest in self.FIELDS]
+        assert flags and all(a.default is argparse.SUPPRESS for a in flags)
+        args = cli.build_parser().parse_args([command])
+        assert not self.FIELDS & vars(args).keys()
 
     def test_lambda_sets_the_model_config_only(self, tiny_csv, tmp_path):
         mse = {}
@@ -296,6 +317,25 @@ class TestAnalyze:
         flat = lines[1].split(",")
         assert flat[0] == "flat" and float(flat[1]) == 0.0
         assert "entropy mapped to 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, flags", [
+        ("ETTh1.csv", []),
+        ("dated.csv", ["--dataset", "ETTh1"]),
+        ("dated.csv", ["--dataset", "mine", "--registry", "registry.json"]),
+    ])
+    def test_data_mode_reads_the_registry(self, tmp_path, name, flags):
+        # The registry marks these datasets' first column as a date.
+        rows = [f"2020-01-{1 + i // 24:02d} {i % 24:02d}:00:00,"
+                + ",".join(f"{v:.6f}" for v in np.random.default_rng(i).normal(size=7))
+                for i in range(96)]
+        (tmp_path / name).write_text("\n".join(["date," + ",".join("abcdefg")] + rows) + "\n")
+        (tmp_path / "registry.json").write_text('{"mine": {"split": "6:2:2", "date_col": true}}')
+        flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+        out = tmp_path / "vars.csv"
+        assert run(["analyze", "--data", str(tmp_path / name), "--out-csv", str(out)]
+                   + flags) == 0
+        lines = out.read_text().strip().splitlines()
+        assert [ln.split(",")[0] for ln in lines[1:]] == list("abcdefg")
 
     def test_conflicting_modes_usage_error(self, tmp_path):
         code = run(["analyze", "--synthetic", "--data", "whatever.csv"])

@@ -91,6 +91,17 @@ class TestModelConfig:
             micro_config(horizon=1)
         assert micro_config(horizon=1, lam=0.0).horizon == 1
 
+    def test_one_patch_only_without_local_windows(self):
+        # A local window pairs each patch with the next, so it needs two patches.
+        one_patch = ("wo_cse", "re_c1", "re_c2")
+        for variant in one_patch:
+            model = SeedModel(micro_config(patch_len=8, variant=variant))
+            out = model.forward(np.random.default_rng(0).normal(size=(2, 8)))
+            assert out.shape == (2, 4) and np.all(np.isfinite(out.data))
+        for variant in (v for v in VARIANTS if v not in one_patch):
+            with pytest.raises(ConfigError, match="at least 2 patches"):
+                micro_config(patch_len=8, variant=variant)
+
     @pytest.mark.parametrize("kw", [dict(n_vars=0), dict(n_vars=-2, variant="re_f1"),
                                     dict(n_vars=-2, knn_k=3), dict(seed=-1)])
     def test_out_of_range_fields(self, kw):

@@ -9,11 +9,20 @@ import seedcast
 PUBLIC = [
     "Adam", "ConfigError", "DataError", "Dataset", "DegenerateInputError", "DivergenceError",
     "InputError", "MetricsReport", "ModelConfig", "NumericError", "RngState", "SeedModel",
-    "ShapeError", "SyntheticSpec", "Tensor", "TrainConfig", "acf_entropy_study",
+    "SeedcastError", "ShapeError", "SyntheticSpec", "Tensor", "TrainConfig", "acf_entropy_study",
     "apply_variant", "autocorrelation", "evaluate", "generate_synthetic", "load_csv",
     "loss_pred", "loss_spen", "make_splits", "no_grad", "spectral_entropy", "split",
     "total_loss", "train",
 ]
+
+
+def test_every_error_is_a_seedcast_error_and_keeps_its_builtin():
+    bases = {"ShapeError": ValueError, "ConfigError": ValueError, "DataError": ValueError,
+             "InputError": ValueError, "DegenerateInputError": ValueError,
+             "NumericError": ArithmeticError, "DivergenceError": RuntimeError}
+    for name, builtin in bases.items():
+        cls = getattr(seedcast, name)
+        assert issubclass(cls, seedcast.SeedcastError) and issubclass(cls, builtin), name
 
 
 def test_public_names_and_no_test_tools():

@@ -9,8 +9,8 @@ from seedcast.model import ModelConfig, SeedModel
 from tests_helpers import grad_check_many, strided_windows, wiener_khinchin_pair
 
 
-def acf_double_loop(x, max_lag):
-    """O(L * max_lag) biased reference estimator."""
+def autocov_double_loop(x, max_lag):
+    """O(L * max_lag) biased reference estimator, lags 0..max_lag."""
     xc = np.asarray(x, dtype=float)
     xc = xc - xc.mean()
     L = len(xc)
@@ -20,7 +20,7 @@ def acf_double_loop(x, max_lag):
         for t in range(L - tau):
             acc += xc[t] * xc[t + tau]
         r[tau] = acc / L
-    return r[1:] / r[0]
+    return r
 
 
 def _entropy(x, gain=None, degenerate="error"):
@@ -178,7 +178,17 @@ class TestAutocorrelation:
     def test_matches_double_loop_oracle(self):
         x = np.random.default_rng(12).normal(size=128)
         ours = S.autocorrelation(x, 20)
-        assert np.abs(ours - acf_double_loop(x, 20)).max() < 1e-10
+        r = autocov_double_loop(x, 20)
+        assert np.abs(ours - r[1:] / r[0]).max() < 1e-10
+
+    def test_batched_matches_rows_and_double_loop_oracle(self):
+        x = np.random.default_rng(13).normal(size=(3, 4, 50))
+        cov = S.autocovariance_biased(x, 30)
+        assert cov.shape == (3, 4, 31)
+        for b in range(3):
+            for c in range(4):
+                assert np.abs(cov[b, c] - S.autocovariance_biased(x[b, c], 30)).max() < 1e-12
+                assert np.abs(cov[b, c] - autocov_double_loop(x[b, c], 30)).max() < 1e-12
 
     def test_zero_variance_raises(self):
         with pytest.raises(DegenerateInputError):
