@@ -16,12 +16,12 @@ from .errors import ConfigError
 
 @dataclass
 class AttentionParams:
+    # No key bias: q·b_k adds one constant to a whole score row, which the softmax cancels.
     wq: T.Tensor  # (D, D), heads packed
     wk: T.Tensor
     wv: T.Tensor
     wo: T.Tensor  # (D, D)
     bq: T.Tensor
-    bk: T.Tensor
     bv: T.Tensor
     bo: T.Tensor
     heads: int
@@ -50,8 +50,8 @@ def temporal_attention(tokens: T.Tensor, params: AttentionParams) -> T.Tensor:
     tokens: (..., C, N, D); the variable axis rides along as a batch
     dimension, so channels never mix.
 
-    One tape node with parents ``(tokens, tokens, tokens, wq, bq, wk, bk, wv,
-    bv, wo, bo)``: it returns the q, k and v parts of the tokens' gradient
+    One tape node with parents ``(tokens, tokens, tokens, wq, bq, wk, wv, bv,
+    wo, bo)``: it returns the q, k and v parts of the tokens' gradient
     separately, so ``backward()`` sums them as it summed the gradients of
     three projection nodes. The node keeps the tokens, the q/k/v heads and
     the softmax output; its backward recomputes ``attn @ v`` and the merged
@@ -62,9 +62,10 @@ def temporal_attention(tokens: T.Tensor, params: AttentionParams) -> T.Tensor:
     p, h = params, params.heads
     if d % h != 0:
         raise ConfigError(f"attention heads ({h}) must divide d_model ({d})")
-    projections = ((p.wq, p.bq), (p.wk, p.bk), (p.wv, p.bv), (p.wo, p.bo))
+    projections = ((p.wq, p.bq), (p.wk, None), (p.wv, p.bv), (p.wo, p.bo))  # no key bias
     x, weights = tokens.data, [w.data for w, _ in projections]
-    q, k, v = (_split_heads(T._affine(x, w.data, b.data), h) for w, b in projections[:3])
+    q, k, v = (_split_heads(T._affine(x, w.data, None if b is None else b.data), h)
+               for w, b in projections[:3])
     scores = q @ np.swapaxes(k, -1, -2)
     scale = 1.0 / np.sqrt(d // h)
     scores *= scale
@@ -72,8 +73,9 @@ def temporal_attention(tokens: T.Tensor, params: AttentionParams) -> T.Tensor:
     del scores
     out = T._affine(_merge_heads(attn @ v), weights[3], p.bo.data)
     # Per projection: its bias shape, and which of (input, weight, bias) need a gradient.
-    b_shapes = [b.shape for _, b in projections]
-    need = [(tokens.requires_grad, w.requires_grad, b.requires_grad) for w, b in projections[:3]]
+    b_shapes = [None if b is None else b.shape for _, b in projections]
+    need = [(tokens.requires_grad, w.requires_grad, b is not None and b.requires_grad)
+            for w, b in projections[:3]]
     need_o = (True, p.wo.requires_grad, p.bo.requires_grad)  # its input is the merged heads
 
     def _bw(g):
@@ -93,9 +95,9 @@ def temporal_attention(tokens: T.Tensor, params: AttentionParams) -> T.Tensor:
         g_scores *= scale
         g_heads = [g_scores @ k, np.swapaxes(np.swapaxes(q, -1, -2) @ g_scores, -1, -2), g_v]
         del g_scores, g_v
-        qkv = [T._affine_grads(_merge_heads(g_heads.pop(0)), x, weights[i], b_shapes[i], need[i])
-               for i in range(3)]
-        return (*(g_x for g_x, _, _ in qkv), *(g for _, g_w, g_b in qkv for g in (g_w, g_b)),
-                g_wo, g_bo)
+        (g_xq, g_wq, g_bq), (g_xk, g_wk, _), (g_xv, g_wv, g_bv) = [
+            T._affine_grads(_merge_heads(g_heads.pop(0)), x, weights[i], b_shapes[i], need[i])
+            for i in range(3)]
+        return g_xq, g_xk, g_xv, g_wq, g_bq, g_wk, g_wv, g_bv, g_wo, g_bo
 
-    return T._node(out, (tokens,) * 3 + tuple(t for pair in projections for t in pair), _bw)
+    return T._node(out, (tokens,) * 3 + (p.wq, p.bq, p.wk, p.wv, p.bv, p.wo, p.bo), _bw)

@@ -261,8 +261,11 @@ def window_arrays(segment: np.ndarray, lookback: int, horizon: int) -> SplitWind
 def standardize_by_train(values: np.ndarray, train_end: int
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Global z-score using train-segment statistics only (no leakage)."""
-    mean = values[:train_end].mean(axis=0)
-    std = values[:train_end].std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = values[:train_end].mean(axis=0)
+        std = values[:train_end].std(axis=0)
+    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+        raise DataError("series too large to standardize: its train mean or std overflows")
     std = np.where(std > 0, std, 1.0)
     return (values - mean) / std, mean, std
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, InputError, ShapeError
 
 STD_FLOOR = 1e-5
 
@@ -25,11 +25,14 @@ def instance_normalize(window: np.ndarray) -> tuple[np.ndarray, NormStats]:
 
     Rows with sub-floor variance count as constant and map to exact zeros
     (mean-subtraction roundoff would otherwise leak through the floored
-    divisor).
+    divisor). A window whose mean or std overflows raises InputError.
     """
     window = np.ascontiguousarray(window, dtype=np.float64)
-    mean = window.mean(axis=-1, keepdims=True)
-    raw_std = window.std(axis=-1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = window.mean(axis=-1, keepdims=True)
+        raw_std = window.std(axis=-1, keepdims=True)
+    if not (np.isfinite(mean).all() and np.isfinite(raw_std).all()):
+        raise InputError("window too large to normalize: its mean or std overflows")
     degenerate = raw_std < STD_FLOOR
     std = np.where(degenerate, STD_FLOOR, raw_std)
     out = np.where(degenerate, 0.0, (window - mean) / std)

@@ -34,20 +34,22 @@ from .graph import SpatialParams, context_spatial_extract, node_layout
 from .rng import RngState
 from .spectral import entropy_tensor
 
-VARIANTS = (
-    "full",
-    "wo_tattn",
-    "wo_cse",
-    "re_s1",
-    "re_s2",
-    "re_f1",
-    "re_f2",
-    "re_f3",
-    "re_c1",
-    "re_c2",
-)
+# Variant -> (temporal, spatial, graph, spatial_mode, fusion): the wiring its forward follows.
+_WIRING = {
+    "full": (True, True, "tanh", "local", "entropy_sim"),
+    "wo_tattn": (False, True, "tanh", "local", "spatial_only"),
+    "wo_cse": (True, False, "tanh", "local", "temporal_only"),
+    "re_s1": (True, True, "plain", "local", "entropy_sim"),
+    "re_s2": (True, True, "softmax", "local", "entropy_sim"),
+    "re_f1": (True, True, "tanh", "local", "learned_scalar"),
+    "re_f2": (True, True, "tanh", "local", "swapped"),
+    "re_f3": (True, True, "tanh", "local", "learned_map"),
+    "re_c1": (True, True, "tanh", "same_step", "entropy_sim"),
+    "re_c2": (True, True, "tanh", "global", "entropy_sim"),
+}
+VARIANTS = tuple(_WIRING)
 
-_CKPT_VERSION = 5
+_CKPT_VERSION = 6
 _CKPT_META = "__meta__"  # 0-d str array: JSON {"version", "config"}; no parameter has this name
 
 
@@ -150,23 +152,10 @@ def config_dict(cfg) -> dict:
 
 def apply_variant(config: ModelConfig) -> dict:
     """Resolve a variant name into the wiring the forward pass follows."""
-    v = config.variant
-    if v not in VARIANTS:
-        raise ConfigError(f"unknown variant {v!r}")
-    wiring = {
-        "temporal": v != "wo_tattn",
-        "spatial": v != "wo_cse",
-        "graph": {"re_s1": "plain", "re_s2": "softmax"}.get(v, "tanh"),
-        "spatial_mode": {"re_c1": "same_step", "re_c2": "global"}.get(v, "local"),
-        "fusion": {
-            "wo_tattn": "spatial_only",
-            "wo_cse": "temporal_only",
-            "re_f1": "learned_scalar",
-            "re_f2": "swapped",
-            "re_f3": "learned_map",
-        }.get(v, "entropy_sim"),
-    }
-    return wiring
+    if config.variant not in _WIRING:
+        raise ConfigError(f"unknown variant {config.variant!r}")
+    return dict(zip(("temporal", "spatial", "graph", "spatial_mode", "fusion"),
+                    _WIRING[config.variant]))
 
 
 @dataclass
@@ -322,8 +311,8 @@ class SeedModel:
             attn = spatial = None
             if wiring["temporal"]:
                 attn = AttentionParams(
-                    *(param(f"{pre}attn.w{k}", v) for k, v in zip("qkvo", attn_init)),
-                    *(param(f"{pre}attn.b{k}", np.zeros(D)) for k in "qkvo"),
+                    **{f"w{k}": param(f"{pre}attn.w{k}", v) for k, v in zip("qkvo", attn_init)},
+                    **{f"b{k}": param(f"{pre}attn.b{k}", np.zeros(D)) for k in "qvo"},
                     heads=H)
             if wiring["spatial"]:
                 spatial = SpatialParams(

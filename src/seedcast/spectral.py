@@ -113,7 +113,7 @@ def autocorrelation(x, max_lag: int) -> np.ndarray:
     r0 = cov[..., 0]
     if np.any(r0 < _ZERO_POWER):
         raise DegenerateInputError("zero-variance series has no autocorrelation")
-    return cov[..., 1:] / r0[..., None] if cov.ndim > 1 else cov[1:] / r0
+    return cov[..., 1:] / r0[..., None]
 
 
 # -- synthetic signals -------------------------------------------------------------

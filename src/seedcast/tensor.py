@@ -423,11 +423,12 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 # -- linear algebra -------------------------------------------------------------
 
 
-def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``x @ w + b`` for a (K, N) weight: one 2-D product over the collapsed batch axes."""
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """``x @ w + b`` (no ``+ b`` for None) for a (K, N) weight: one 2-D product over batch axes."""
     k, n = w.shape
     out = (x.reshape(-1, k) @ w).reshape(x.shape[:-1] + (n,))
-    out += b
+    if b is not None:
+        out += b
     return out
 
 

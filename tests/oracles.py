@@ -69,7 +69,7 @@ def temporal_attention(tokens, params):
     h = params.heads
     d = tokens.shape[-1]
     q = A.split_heads(T.linear(tokens, params.wq, params.bq), h)
-    k = A.split_heads(T.linear(tokens, params.wk, params.bk), h)
+    k = A.split_heads(matmul(tokens, params.wk), h)
     v = A.split_heads(T.linear(tokens, params.wv, params.bv), h)
     scores = matmul(q, T.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(d // h))
     attn = T.softmax(scores, axis=-1)

@@ -217,18 +217,24 @@ def mixture_splits():
     return D.make_splits(ds, 96, 96)
 
 
-def test_criterion_7_training_sanity(mixture_splits):
+def test_criterion_7_training_sanity(mixture_splits, capsys):
     with criterion(7, 900.0, "beats persistence by >= 30%; full <= min(ablations)"):
         pers = persistence_report(mixture_splits.test).mse
-        results = {}
+        results, epochs = {}, {}
         for variant in ("full", "wo_cse", "wo_tattn"):
             cfg = sc.ModelConfig(n_vars=8, seed=11, variant=variant)
             tcfg = TR.TrainConfig(epochs=30, batch_size=64, learning_rate=1e-3,
                                   patience=3, seed=11)
             _, report = TR.train(sc.SeedModel(cfg), mixture_splits, tcfg)
-            results[variant] = report.mse
+            results[variant], epochs[variant] = report.mse, report.epochs
         assert results["full"] <= 0.7 * pers, (results, pers)
         assert results["full"] <= min(results["wo_cse"], results["wo_tattn"]), results
+    # The numbers a change that moves seeded training bits reports, old and new.
+    # pytest captures fd 1 as well, so the line reaches the log only with capture off.
+    with capsys.disabled():
+        print("criterion 7 values: " + ", ".join(
+            f"{v} test_mse={results[v]!r} epochs={epochs[v]}" for v in results)
+            + f", persistence test_mse={pers!r}", file=sys.__stdout__, flush=True)
 
 
 def _etth1_path():

@@ -49,8 +49,8 @@ class TestTemporalAttention:
         wo = np.array([[1.0, 0.0], [0.0, 2.0]])
         params = A.AttentionParams(
             wq=T.Tensor(wq), wk=T.Tensor(wk), wv=T.Tensor(wv), wo=T.Tensor(wo),
-            bq=T.Tensor(np.zeros(2)), bk=T.Tensor(np.zeros(2)),
-            bv=T.Tensor(np.zeros(2)), bo=T.Tensor(np.zeros(2)), heads=1,
+            bq=T.Tensor(np.zeros(2)), bv=T.Tensor(np.zeros(2)), bo=T.Tensor(np.zeros(2)),
+            heads=1,
         )
         x = np.array([[[1.0, 0.0], [0.0, 1.0]]])
         q, k, v = x[0] @ wq, x[0] @ wk, x[0] @ wv

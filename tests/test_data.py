@@ -343,6 +343,15 @@ class TestMakeSplits:
         assert std[0] == pytest.approx(values[:60].std())
         assert abs(scaled[:60].mean()) < 1e-12
 
+    def test_overflowing_train_statistics_raise(self):
+        # At 1e200 the train std overflows to inf, which would map every value to 0.
+        values = np.random.default_rng(4).normal(size=(100, 2))
+        ds = D.Dataset("t", values * 1e200, split_ratio=(6, 2, 2))
+        with pytest.raises(DataError, match="overflow"):
+            D.make_splits(ds, 8, 2)
+        big = D.make_splits(D.Dataset("t", values * 1e150, split_ratio=(6, 2, 2)), 8, 2)
+        assert np.isfinite(big.train.x).all()
+
     def test_windows_are_read_only_views_of_one_series(self):
         ds = D.Dataset("t", np.random.default_rng(5).normal(size=(300, 3)),
                        split_ratio=(6, 2, 2))

@@ -312,7 +312,7 @@ class TestSpatialLayout:
 
 
 def _attention(op, heads):
-    """``op`` over the tokens and the eight attention weights, in ``AttentionParams`` order."""
+    """``op`` over the tokens and the seven attention weights, in ``AttentionParams`` order."""
     return lambda x, *weights: op(x, A.AttentionParams(*weights, heads=heads))
 
 
@@ -323,7 +323,7 @@ def _gcn(op):
 def _attention_arrays(rng, x_shape):
     d = x_shape[-1]
     return ([rng.normal(size=x_shape)] + [rng.normal(size=(d, d)) * d**-0.5 for _ in range(4)]
-            + [rng.normal(size=d) for _ in range(4)])
+            + [rng.normal(size=d) for _ in range(3)])
 
 
 class TestTemporalAttention:
@@ -390,11 +390,10 @@ class TestTapeNodes:
         graph = G.tanh_l1_graph(scores)
         assert graph.weights._node.parents == (scores,)
         assert G.knn_sparsify(graph, 4).weights._node.parents == (graph.weights._node,)
-        x, *weights = self._leaves((3, 5, 4), *[(4, 4)] * 4, *[(4,)] * 4)
+        x, *weights = self._leaves((3, 5, 4), *[(4, 4)] * 4, *[(4,)] * 3)
         params = A.AttentionParams(*weights, heads=2)
         assert A.temporal_attention(x, params)._node.parents == (
-            x, x, x, params.wq, params.bq, params.wk, params.bk, params.wv, params.bv,
-            params.wo, params.bo)
+            x, x, x, params.wq, params.bq, params.wk, params.wv, params.bv, params.wo, params.bo)
         window, weights, w = self._leaves((3, 6, 4), (3, 2, 6, 6), (2, 2, 2))
         node = G.gcn(window, G.SignedGraph(weights), w)._node  # window + convolution
         conv = node.parents[1]
@@ -453,7 +452,7 @@ class TestTapeNodes:
 
     def test_attention_keeps_tokens_heads_and_weights(self):
         # Tokens, q, k, v and the softmax output; not the merged heads.
-        x, *weights = self._leaves((3, 2, 5, 8), *[(8, 8)] * 4, *[(8,)] * 4)
+        x, *weights = self._leaves((3, 2, 5, 8), *[(8, 8)] * 4, *[(8,)] * 3)
         out = A.temporal_attention(x, A.AttentionParams(*weights, heads=2))
         attn = 3 * 2 * 2 * 5 * 5 * 8  # (3, 2, heads, 5, 5) float64
         assert tape_bytes(out) == (4 * x.data.nbytes + attn

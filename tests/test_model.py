@@ -183,6 +183,18 @@ class TestForward:
             with pytest.raises(InputError):
                 model.forward(w[1])
 
+    def test_overflowing_window_rejected(self):
+        # At 1e200 the window's std overflows to inf, and the forecast would be NaN.
+        model = SeedModel(micro_config())
+        w = np.random.default_rng(16).normal(size=(3, 2, 8))
+        assert np.isfinite(model.forward(w * 1e150).data).all()
+        assert np.isfinite(model.entropy_of(w * 1e150)).all()
+        for call in (model.forward, model.entropy_of):
+            with pytest.raises(InputError, match="overflow"):
+                call(w * 1e200)
+            with pytest.raises(InputError, match="overflow"):
+                call(w[0] * 1e200)
+
     def test_every_variant_runs(self):
         w = np.random.default_rng(4).normal(size=(2, 8))
         for v in VARIANTS:
@@ -399,7 +411,7 @@ class TestCountParams:
         per_layer = (D * 2 * D + 2 * D + 2 * D * D + D  # feed-forward
                      + 4 * D)                           # two layer norms
         if wiring["temporal"]:
-            per_layer += 4 * D * D + 4 * D              # attention
+            per_layer += 4 * D * D + 3 * D              # attention: no key bias
         if wiring["spatial"]:
             per_layer += (d_h * d_h                     # shared distance form
                           + H * d_h * d_h)              # gcn head transforms
@@ -426,9 +438,14 @@ class TestParameterWiring:
         rng = np.random.default_rng(26)
         total_loss(rng.normal(size=(3, 2, 4)), model.forward(rng.normal(size=(3, 2, 8))),
                    0.1).backward()
-        for name, p in model.named_params().items():
-            assert p.grad is not None, name
-            assert np.any(p.grad != 0), name
+        # Rounding noise is not a gradient: each parameter's largest entry must
+        # stand clear of the step's largest.
+        largest = {name: np.abs(p.grad).max() for name, p in model.named_params().items()
+                   if p.grad is not None}
+        assert largest.keys() == model.named_params().keys()
+        top = max(largest.values())
+        for name, g in largest.items():
+            assert g > 1e-10 * top, (name, g / top)
 
     def test_shared_seed_shares_every_draw(self):
         def params(variant):
@@ -521,9 +538,20 @@ class TestCheckpoint:
             with pytest.raises(ConfigError):
                 SeedModel.load(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 7])
     def test_version_mismatch(self, tmp_path, version):
         path = _saved_with_meta(tmp_path, lambda meta: {**meta, "version": version})
+        with pytest.raises(ConfigError, match="version"):
+            SeedModel.load(path)
+
+    def test_version_5_key_bias_rejected(self, tmp_path):
+        # Version 5 still held each layer's attention key bias.
+        path = _saved_with_meta(tmp_path, lambda meta: {**meta, "version": 5})
+        with np.load(path, allow_pickle=False) as ckpt:
+            arrays = dict(ckpt)
+        arrays["layer0.attn.bk"] = np.zeros(MICRO["d_model"])
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
         with pytest.raises(ConfigError, match="version"):
             SeedModel.load(path)
 

@@ -190,6 +190,14 @@ class TestAutocorrelation:
                 assert np.abs(cov[b, c] - S.autocovariance_biased(x[b, c], 30)).max() < 1e-12
                 assert np.abs(cov[b, c] - autocov_double_loop(x[b, c], 30)).max() < 1e-12
 
+    def test_batched_rows_equal_single_calls(self):
+        x = np.random.default_rng(14).normal(size=(2, 3, 64))
+        acf = S.autocorrelation(x, 20)
+        assert acf.shape == (2, 3, 20)
+        for b in range(2):
+            for c in range(3):
+                assert np.array_equal(acf[b, c], S.autocorrelation(x[b, c], 20))
+
     def test_zero_variance_raises(self):
         with pytest.raises(DegenerateInputError):
             S.autocorrelation(np.ones(64), 8)

@@ -101,8 +101,7 @@ def attention_params(d_model, heads, rng=None, scale=None):
     def b():
         return T.Tensor(np.zeros(d_model), requires_grad=True)
 
-    return AttentionParams(wq=w(), wk=w(), wv=w(), wo=w(),
-                           bq=b(), bk=b(), bv=b(), bo=b(), heads=heads)
+    return AttentionParams(wq=w(), wk=w(), wv=w(), wo=w(), bq=b(), bv=b(), bo=b(), heads=heads)
 
 
 def spatial_params(d, h, rng, variant="tanh", knn_k=None, mode="local"):
