@@ -47,7 +47,6 @@ from .errors import (  # noqa: E402
     ShapeError,
 )
 from .tensor import Tensor, no_grad  # noqa: E402
-from .rng import RngState  # noqa: E402
 from .spectral import (  # noqa: E402
     SyntheticSpec,
     acf_entropy_study,
@@ -73,7 +72,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Adam", "ConfigError", "DataError", "Dataset",
     "DegenerateInputError", "DivergenceError", "InputError",
-    "MetricsReport", "ModelConfig", "NumericError", "RngState", "SeedModel",
+    "MetricsReport", "ModelConfig", "NumericError", "SeedModel",
     "SeedcastError", "ShapeError", "SyntheticSpec", "Tensor", "TrainConfig",
     "acf_entropy_study", "apply_variant", "autocorrelation", "evaluate",
     "generate_synthetic", "load_csv",

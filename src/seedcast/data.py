@@ -11,9 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, InputError
+from .errors import DataError, InputError, check_integer
 from .model import finite_real
-from .rng import RngState
 from .training import DatasetSplits, SplitWindows
 
 # Benchmark split conventions: ETT family 6:2:2, the larger long-horizon
@@ -304,10 +303,10 @@ def synthetic_mixture(n_sine: int = 4, n_noise: int = 4, length: int = 4000,
         raise InputError(f"need {n_sine} periods, got {len(periods)}")
     if any(p <= 0 for p in periods[:n_sine]):
         raise InputError(f"sine periods must be > 0, got {tuple(periods[:n_sine])}")
-    rng = RngState(seed)
+    rng = np.random.default_rng(check_integer("seed", seed, 0, InputError))
     t = np.arange(length)
     cols = [np.sin(2 * np.pi * t / periods[i]) for i in range(n_sine)]
-    cols += [rng.normal(length) for _ in range(n_noise)]
+    cols += [rng.normal(size=length) for _ in range(n_noise)]
     names = [f"sine_p{periods[i]}" for i in range(n_sine)]
     names += [f"noise{i}" for i in range(n_noise)]
     return Dataset(

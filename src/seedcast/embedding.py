@@ -55,10 +55,8 @@ def split_patches(window: np.ndarray, patch_len: int) -> np.ndarray:
     if not 1 <= patch_len <= L:
         raise ConfigError(f"patch_len must be in [1, {L}], got {patch_len}")
     n = -(-L // patch_len)  # ceil
-    padded = n * patch_len
-    if padded != L:
-        pad = np.zeros(window.shape[:-1] + (padded - L,))
-        window = np.concatenate([window, pad], axis=-1)
+    if n * patch_len != L:
+        window = np.pad(window, [(0, 0)] * (window.ndim - 1) + [(0, n * patch_len - L)])
     return window.reshape(window.shape[:-1] + (n, patch_len))
 
 

@@ -1,8 +1,10 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the integer check that raises them.
 
 Each derives from ``SeedcastError`` and from the builtin its kind of fault
 belongs to, so callers can catch either.
 """
+
+import numbers
 
 
 class SeedcastError(Exception):
@@ -35,3 +37,12 @@ class NumericError(SeedcastError, ArithmeticError):
 
 class DivergenceError(SeedcastError, RuntimeError):
     """Training produced a non-finite loss."""
+
+
+def check_integer(name: str, value, least: int, error: type = ConfigError) -> int:
+    """``value`` as a Python int; ``error`` unless it is an integer, not a bool, >= ``least``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise error(f"{name} must be >= {least}, got {value}")
+    return int(value)  # a numpy integer would not serialize to JSON

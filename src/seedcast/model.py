@@ -28,10 +28,9 @@ from .embedding import (
     positional_encoding,
     project_output,
 )
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, NumericError, check_integer
 from .fuser import blend, fuse, fusion_weights, patch_similarity
 from .graph import SpatialParams, context_spatial_extract, node_layout
-from .rng import RngState
 from .spectral import entropy_tensor
 
 # Variant -> (temporal, spatial, graph, spatial_mode, fusion): the wiring its forward follows.
@@ -128,15 +127,6 @@ class ModelConfig:
         if unknown:
             raise ConfigError(f"unknown model config keys {sorted(unknown)}")
         return cls(**d)
-
-
-def check_integer(name: str, value, least: int) -> int:
-    """``value`` as a Python int; ConfigError unless it is an integer, not a bool, >= ``least``."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ConfigError(f"{name} must be >= {least}, got {value}")
-    return int(value)  # a numpy integer would not serialize to JSON
 
 
 def finite_real(value) -> bool:
@@ -281,7 +271,7 @@ class SeedModel:
         config.validate()
         self.config = config
         self.wiring = wiring = apply_variant(config)
-        rng = RngState(config.seed)
+        rng = np.random.default_rng(config.seed)
         L, P, D = config.lookback, config.patch_len, config.d_model
         N, H = config.n_patches, config.heads
         d_h = D // H
@@ -295,18 +285,18 @@ class SeedModel:
         self.filter_gain = None
         if not config.detach_entropy and wiring["fusion"] in _ENTROPY_FUSIONS:
             self.filter_gain = param("filter.gain", np.ones(L))
-        self.embed = EmbedParams(param("embed.weight", rng.normal((P, D), P**-0.5)),
+        self.embed = EmbedParams(param("embed.weight", rng.normal(0.0, P**-0.5, (P, D))),
                                  param("embed.bias", np.zeros(D)), positional_encoding(N, D))
         self.layers: list[LayerParams] = []
         for i in range(config.n_layers):
             # Every variant makes every draw, in this order, so a shared seed gives
             # shared weights; a draw the wiring does not read is dropped.
-            attn_init = [rng.normal((D, D), D**-0.5) for _ in range(4)]  # wq, wk, wv, wo
-            q_init = rng.normal((d_h, d_h), 1.0 / d_h)
-            gcn_init = rng.normal((H, d_h, d_h), d_h**-0.5)
-            ff1_init = rng.normal((D, 2 * D), D**-0.5)
-            ff2_init = rng.normal((2 * D, D), (2 * D) ** -0.5)
-            fuse_w_init = rng.normal((2 * D, 1), (2 * D) ** -0.5)
+            attn_init = [rng.normal(0.0, D**-0.5, (D, D)) for _ in range(4)]  # wq, wk, wv, wo
+            q_init = rng.normal(0.0, 1.0 / d_h, (d_h, d_h))
+            gcn_init = rng.normal(0.0, d_h**-0.5, (H, d_h, d_h))
+            ff1_init = rng.normal(0.0, D**-0.5, (D, 2 * D))
+            ff2_init = rng.normal(0.0, (2 * D) ** -0.5, (2 * D, D))
+            fuse_w_init = rng.normal(0.0, (2 * D) ** -0.5, (2 * D, 1))
             pre, fusion = f"layer{i}.", wiring["fusion"]
             attn = spatial = None
             if wiring["temporal"]:
@@ -333,7 +323,7 @@ class SeedModel:
                 fuse_b=param(pre + "fuse.b", np.zeros(1)) if fusion == "learned_map" else None,
             ))
         self.head = HeadParams(
-            param("head.weight", rng.normal((N * D, config.horizon), (N * D) ** -0.5)),
+            param("head.weight", rng.normal(0.0, (N * D) ** -0.5, (N * D, config.horizon))),
             param("head.bias", np.zeros(config.horizon)))
 
     # -- parameter registry ---------------------------------------------------
@@ -374,19 +364,22 @@ class SeedModel:
     def forward(self, window) -> T.Tensor:
         """Forecast (C, T) from a (C, L) window; batched (B, C, L) works too.
 
-        Without a tape the batch runs in blocks of ``block_windows`` windows;
-        a taped forward is one block, so its tape spans the whole batch.
+        Without a tape the batch runs in blocks of ``block_windows`` windows,
+        and a block whose forecast is not finite raises NumericError; a taped
+        forward is one block, so its tape spans the whole batch.
         """
         x, single = self._as_batch(window)
         if T.grad_enabled():
             out = self._forward_block(x)
         else:
             step = self.block_windows(x.shape[1])
+            blocks = []
             # max(.., 1): an empty batch still runs once and keeps its (0, C, T) shape.
-            out = T.Tensor(np.concatenate([
-                self._forward_block(x[i : i + step]).data
-                for i in range(0, max(len(x), 1), step)
-            ]))
+            for i in range(0, max(len(x), 1), step):
+                blocks.append(self._forward_block(x[i : i + step]).data)
+                if not np.isfinite(blocks[-1]).all():
+                    raise NumericError(f"non-finite forecast in the block from window {i}")
+            out = T.Tensor(np.concatenate(blocks))
         return out[0] if single else out
 
     def block_windows(self, n_vars: int) -> int:

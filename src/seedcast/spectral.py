@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import DegenerateInputError, InputError, ShapeError
-from .rng import RngState
+from .errors import DegenerateInputError, InputError, ShapeError, check_integer
 
 _ZERO_POWER = 1e-290
 
@@ -30,6 +29,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        self.seed = check_integer("seed", self.seed, 0, InputError)
         if not 0.0 <= self.alpha <= 1.0:
             raise InputError(f"alpha must be in [0,1], got {self.alpha}")
         if self.period < 2:
@@ -123,7 +123,7 @@ def generate_synthetic(spec: SyntheticSpec) -> np.ndarray:
     """Noise mixture, deterministic in the seed: signal and noise scale with alpha."""
     t = np.arange(spec.length)
     signal = np.sin(2.0 * np.pi * t / spec.period)
-    noise = RngState(spec.seed).normal(spec.length)
+    noise = np.random.default_rng(spec.seed).normal(size=spec.length)
     return (1.0 - spec.alpha) * signal + spec.alpha * noise
 
 

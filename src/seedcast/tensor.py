@@ -382,12 +382,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
     offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
     def _bw(g):
-        sl = [slice(None)] * g.ndim
-        grads = []
-        for i in range(len(offsets) - 1):
-            sl[axis] = slice(offsets[i], offsets[i + 1])
-            grads.append(g[tuple(sl)])
-        return tuple(grads)
+        return tuple(np.split(g, offsets[1:-1], axis=axis))
 
     return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, _bw)
 

@@ -8,9 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DataError, DivergenceError, ShapeError
-from .model import SeedModel, check_integer, config_dict, finite_real
-from .rng import RngState
+from .errors import ConfigError, DataError, DivergenceError, ShapeError, check_integer
+from .model import SeedModel, config_dict, finite_real
 from .spectral import entropy_tensor
 
 
@@ -207,7 +206,7 @@ def train(model: SeedModel, splits: DatasetSplits, cfg: TrainConfig,
     for name, part in (("train", splits.train), ("val", splits.val), ("test", splits.test)):
         if len(part) == 0:
             raise DataError(f"{name} split has no windows")
-    rng = RngState(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     opt = Adam(model.params(), cfg.learning_rate)
     t0 = time.perf_counter()
     best_val = np.inf

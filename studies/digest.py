@@ -18,25 +18,33 @@ which parts moved:
 
 The last line hashes all the sections' digests. Run from the repository root:
 
-    python studies/digest.py            # every section
-    python studies/digest.py forecast   # only the named sections
+    python studies/digest.py                     # every section
+    python studies/digest.py forecast            # only the named sections
+    python studies/digest.py --against HEAD~1    # this tree against a commit
 
 It imports ``seedcast`` from the ``src/`` beside this directory. Pin the BLAS
-threads (``SEED_NUM_THREADS=1``) when comparing two commits.
+threads (``SEED_NUM_THREADS=1``) when comparing two commits by hand.
+``--against REV`` does that itself: it exports REV's ``src/`` and
+``studies/`` with ``git archive``, runs both trees' digests in fresh
+interpreters at one BLAS thread, prints ``same``, ``moved`` or
+``only in <side>`` for each line, and exits 1 if any line moved.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import itertools
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from seedcast import data as D  # noqa: E402  (first: it applies SEED_NUM_THREADS)
 from seedcast import cli  # noqa: E402
@@ -144,11 +152,51 @@ SECTIONS = {
 }
 
 
-def main(names: list[str]) -> int:
+def _tree_digest(root: str, names: list[str]) -> dict[str, str]:
+    """``{line name: digest}`` printed by the digest script of the tree at ``root``."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "studies", "digest.py"), *names],
+        capture_output=True, text=True, env={**os.environ, "SEED_NUM_THREADS": "1"})
+    if proc.returncode != 0:
+        raise SystemExit(f"digest of {root} failed:\n{proc.stderr}")
+    return {name: digest for digest, name in (line.split() for line in proc.stdout.splitlines())}
+
+
+def against(rev: str, names: list[str]) -> int:
+    """Compare this tree's digest with ``rev``'s, line by line; 1 if any line moved."""
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", ROOT, "archive", rev, "src", "studies"],
+                                 capture_output=True)
+        if archive.returncode != 0:
+            raise SystemExit(archive.stderr.decode())
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+        old, new = _tree_digest(tmp, names), _tree_digest(ROOT, names)
+    moved = False
+    for name in {**old, **new}:  # old's lines in order, then lines only this tree has
+        if name not in new:
+            verdict = f"only in {rev}"
+        elif name not in old:
+            verdict = "only in this tree"
+        else:
+            verdict = "same" if old[name] == new[name] else "moved"
+            moved |= verdict == "moved"
+        print(f"{verdict:<16} {name}")
+    return 1 if moved else 0
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="SHA-256 digest of seeded results.")
+    parser.add_argument("sections", nargs="*", help=f"any of {list(SECTIONS)}; default all")
+    parser.add_argument("--against", metavar="REV",
+                        help="compare this tree with git revision REV instead")
+    args = parser.parse_args(argv)
+    names = args.sections
     unknown = [n for n in names if n not in SECTIONS]
     if unknown:
         print(f"unknown sections {unknown}; choose from {list(SECTIONS)}", file=sys.stderr)
         return 2
+    if args.against:
+        return against(args.against, names)
     total = hashlib.sha256()
     for name in names or SECTIONS:
         digest = SECTIONS[name]()

@@ -1,13 +1,14 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
-Run with plain ``pytest``; the per-criterion lines are written straight to
-the terminal even under output capture. Criterion 8 needs the ETTh1 CSV
+Run with plain ``pytest``; the per-criterion lines go through pytest's
+terminal reporter, so they show under output capture. Criterion 8 needs the ETTh1 CSV
 (point SEEDCAST_ETTH1 at it, or drop it at data/ETTh1.csv) and is marked
 slow; everything else runs by default.
 """
 
 import json
 import os
+import subprocess
 import sys
 import time
 from contextlib import contextmanager
@@ -24,35 +25,78 @@ from seedcast import spectral as S
 from seedcast import tensor as T
 from seedcast import training as TR
 from seedcast.embedding import instance_normalize, patch_and_embed
-from seedcast.rng import RngState
 from tests_helpers import (attention_params, grad_check, grad_check_many, param_tensors,
                            persistence_report, spatial_params, wiener_khinchin_pair)
 
 
-@contextmanager
-def criterion(num: int, budget_s: float, desc: str):
-    t0 = time.perf_counter()
-    try:
-        yield
-    except BaseException:
+@pytest.fixture
+def terminal_line(capsys, pytestconfig):
+    """Writes one line to pytest's terminal output, which capture would otherwise swallow."""
+    reporter = pytestconfig.pluginmanager.get_plugin("terminalreporter")
+
+    def write(line: str):
+        with capsys.disabled():  # capture holds fd 1 while a test runs
+            reporter.write_line(line)
+            reporter.flush()
+
+    return write
+
+
+@pytest.fixture
+def criterion(terminal_line):
+    """``with criterion(num, budget_s, desc):`` times the block and reports it on the terminal."""
+
+    @contextmanager
+    def run(num: int, budget_s: float, desc: str):
+        t0 = time.perf_counter()
+        try:
+            yield
+        except BaseException:
+            terminal_line(f"criterion {num}: FAIL ({time.perf_counter() - t0:.1f}s) {desc}")
+            raise
         dt = time.perf_counter() - t0
-        print(f"criterion {num}: FAIL ({dt:.1f}s) {desc}", file=sys.__stdout__, flush=True)
-        raise
-    dt = time.perf_counter() - t0
-    print(f"criterion {num}: PASS ({dt:.1f}s) {desc}", file=sys.__stdout__, flush=True)
-    assert dt < budget_s, f"criterion {num} exceeded its {budget_s}s budget: {dt:.1f}s"
+        terminal_line(f"criterion {num}: PASS ({dt:.1f}s) {desc}")
+        assert dt < budget_s, f"criterion {num} exceeded its {budget_s}s budget: {dt:.1f}s"
+
+    return run
+
+
+# A test module that imports the fixtures above, run by a separate pytest.
+TINY_CRITERIA = """
+from test_acceptance import criterion, terminal_line  # noqa: F401
+
+def test_passes(criterion):
+    with criterion(0, 60.0, "tiny pass"):
+        pass
+
+def test_fails(criterion):
+    with criterion(0, 60.0, "tiny fail"):
+        assert False
+"""
+
+
+def test_criterion_lines_show_under_plain_pytest(tmp_path):
+    (tmp_path / "test_tiny.py").write_text(TINY_CRITERIA)
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([here, os.path.join(os.path.dirname(here), "src")])
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "test_tiny.py"], cwd=tmp_path, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "criterion 0: PASS (" in proc.stdout and "s) tiny pass" in proc.stdout
+    assert "criterion 0: FAIL (" in proc.stdout and "s) tiny fail" in proc.stdout
 
 
 MICRO = dict(lookback=8, horizon=4, patch_len=4, d_model=8,
              heads=2, n_layers=1, n_vars=2)
 
 
-def test_criterion_1_spectral_property_suite():
+def test_criterion_1_spectral_property_suite(criterion):
     with criterion(1, 5.0, "entropy range, tone value, uniform spectrum, scale invariance"):
-        rng = RngState(1)
+        rng = np.random.default_rng(1)
         lengths = (16, 64, 96, 128, 251)
         for i in range(1000):
-            x = rng.normal(lengths[i % len(lengths)])
+            x = rng.normal(size=lengths[i % len(lengths)])
             val = S.spectral_entropy(x)
             assert 0.0 <= val <= 1.0
 
@@ -64,13 +108,13 @@ def test_criterion_1_spectral_property_suite():
         impulse[0] = 1.0
         assert abs(S.spectral_entropy(impulse, remove_mean=False) - 1.0) < 1e-9
 
-        x = RngState(2).normal(L)
+        x = np.random.default_rng(2).normal(size=L)
         base = S.spectral_entropy(x)
         for c in (-3.0, 0.5, 10.0):
             assert abs(S.spectral_entropy(c * x) - base) < 1e-12
 
 
-def test_criterion_2_acf_entropy_study():
+def test_criterion_2_acf_entropy_study(criterion):
     with criterion(2, 30.0, "Spearman(alpha, SpEn) > 0.95; Pearson(acf, SpEn) < -0.8"):
         alphas = np.round(np.arange(0.0, 1.001, 0.1), 10)
         template = S.SyntheticSpec(alpha=0.0, period=24, length=512, seed=0)
@@ -83,7 +127,7 @@ def test_criterion_2_acf_entropy_study():
         assert stats.pearsonr(peaks, spens).statistic < -0.8
 
 
-def test_criterion_3_wiener_khinchin_oracle():
+def test_criterion_3_wiener_khinchin_oracle(criterion):
     with criterion(3, 10.0, "DFT of biased ACF equals periodogram, 50 seeds, rel 1e-6"):
         for seed in range(50):
             alpha = 0.2 + 0.6 * (seed % 5) / 4
@@ -93,9 +137,9 @@ def test_criterion_3_wiener_khinchin_oracle():
             assert np.abs(lhs - rhs).max() / rhs.max() < 1e-6
 
 
-def test_criterion_4_signed_graph_suite():
+def test_criterion_4_signed_graph_suite(criterion):
     with criterion(4, 10.0, "signs, L1 rows, prob rows, KNN idempotence, re-S1 range"):
-        rng = np.random.default_rng(4)  # the PCG64 stream that RngState(4) draws from
+        rng = np.random.default_rng(4)
         for trial in range(500):
             n = int(rng.integers(2, 17))
             h = int(rng.integers(1, 5))
@@ -121,7 +165,7 @@ def test_criterion_4_signed_graph_suite():
                 assert np.array_equal(masked.weights.data, again.weights.data)
 
 
-def test_criterion_5_gradient_suite():
+def test_criterion_5_gradient_suite(criterion):
     with criterion(5, 60.0, "module grad checks + full micro model, both graph variants"):
         rng = np.random.default_rng(0)
 
@@ -191,13 +235,13 @@ def test_criterion_5_gradient_suite():
             assert (errs < 1e-4).mean() >= 0.99
 
 
-def test_criterion_6_channel_independence():
+def test_criterion_6_channel_independence(criterion):
     with criterion(6, 10.0, "wo_cse: perturbing channel j never touches channel i"):
         cfg = sc.ModelConfig(lookback=16, horizon=4, patch_len=4, d_model=8,
                              heads=2, n_layers=2, n_vars=4,
                              seed=6, variant="wo_cse")
         model = sc.SeedModel(cfg)
-        rng = np.random.default_rng(66)  # the PCG64 stream that RngState(66) draws from
+        rng = np.random.default_rng(66)
         base = rng.normal(size=(4, 16))
         ref = model.forward(base).data
         for _ in range(100):
@@ -217,7 +261,7 @@ def mixture_splits():
     return D.make_splits(ds, 96, 96)
 
 
-def test_criterion_7_training_sanity(mixture_splits, capsys):
+def test_criterion_7_training_sanity(mixture_splits, criterion, terminal_line):
     with criterion(7, 900.0, "beats persistence by >= 30%; full <= min(ablations)"):
         pers = persistence_report(mixture_splits.test).mse
         results, epochs = {}, {}
@@ -230,11 +274,9 @@ def test_criterion_7_training_sanity(mixture_splits, capsys):
         assert results["full"] <= 0.7 * pers, (results, pers)
         assert results["full"] <= min(results["wo_cse"], results["wo_tattn"]), results
     # The numbers a change that moves seeded training bits reports, old and new.
-    # pytest captures fd 1 as well, so the line reaches the log only with capture off.
-    with capsys.disabled():
-        print("criterion 7 values: " + ", ".join(
-            f"{v} test_mse={results[v]!r} epochs={epochs[v]}" for v in results)
-            + f", persistence test_mse={pers!r}", file=sys.__stdout__, flush=True)
+    terminal_line("criterion 7 values: " + ", ".join(
+        f"{v} test_mse={results[v]!r} epochs={epochs[v]}" for v in results)
+        + f", persistence test_mse={pers!r}")
 
 
 def _etth1_path():
@@ -250,7 +292,7 @@ def _etth1_path():
 @pytest.mark.slow
 @pytest.mark.skipif(_etth1_path() is None,
                     reason="ETTh1.csv not available (set SEEDCAST_ETTH1 or add data/ETTh1.csv)")
-def test_criterion_8_etth1_desk_check():
+def test_criterion_8_etth1_desk_check(criterion):
     with criterion(8, 2700.0, "ETTh1 96->96 test MSE <= 0.50 and below persistence"):
         ds = D.load_csv(_etth1_path(), date_col=True, name="ETTh1")
         splits = D.make_splits(ds, 96, 96)
@@ -263,7 +305,7 @@ def test_criterion_8_etth1_desk_check():
         assert report.mse < pers, (report.mse, pers)
 
 
-def test_criterion_9_determinism(tmp_path):
+def test_criterion_9_determinism(tmp_path, criterion):
     with criterion(9, 300.0, "identical argv+seed => identical metrics JSON"):
         from seedcast import cli
         csv_path = str(tmp_path / "mix.csv")

@@ -283,6 +283,19 @@ class TestEval:
         assert code == 1 and "mse=" not in captured.out
         assert captured.err.startswith("error:") and "'head.bias'" in captured.err
 
+    def test_overflowing_forecast_fails_cleanly(self, tiny_csv, tmp_path, capsys):
+        # Finite weights load, but a head scaled by 1e308 forecasts inf for every window.
+        ckpt = str(tmp_path / "model.ckpt")
+        model = SeedModel(ModelConfig(lookback=16, horizon=4, patch_len=4, d_model=8,
+                                      heads=2, n_layers=1, n_vars=4))
+        model.head.weight.data *= 1e308
+        model.save(ckpt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(["eval", "--ckpt", ckpt, "--data", tiny_csv, "--split", "6:2:2"])
+        captured = capsys.readouterr()
+        assert code == 1 and "mse=" not in captured.out
+        assert captured.err.startswith("error:") and "non-finite forecast" in captured.err
+
 
 class TestAnalyze:
     def test_synthetic_grid_row_count(self, tmp_path):

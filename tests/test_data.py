@@ -408,7 +408,7 @@ class TestSyntheticMixture:
 
     @pytest.mark.parametrize("kwargs", [
         dict(n_sine=0, n_noise=0), dict(n_sine=-1), dict(n_noise=-1), dict(length=0),
-        dict(periods=(0, 36, 48, 96)), dict(seed=-1),
+        dict(periods=(0, 36, 48, 96)), dict(seed=-1), dict(seed=1.5), dict(seed=True),
     ])
     def test_bad_arguments_are_input_errors(self, kwargs):
         with pytest.raises(InputError):

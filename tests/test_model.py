@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from seedcast import tensor as T
-from seedcast.errors import ConfigError, InputError
+from seedcast.errors import ConfigError, InputError, NumericError
 from seedcast.model import VARIANTS, ModelConfig, SeedModel, apply_variant
 from tests_helpers import count_params, grad_check_many, strided_windows
 
@@ -194,6 +194,17 @@ class TestForward:
                 call(w * 1e200)
             with pytest.raises(InputError, match="overflow"):
                 call(w[0] * 1e200)
+
+    def test_non_finite_forecast_raises_without_a_tape(self):
+        # Finite weights load, but a head scaled by 1e308 overflows the forecast.
+        model = SeedModel(micro_config())
+        model.head.weight.data *= 1e308
+        w = np.random.default_rng(17).normal(size=(3, 2, 8))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with T.no_grad(), pytest.raises(NumericError, match="non-finite forecast"):
+                model.forward(w)
+            # The taped path does not check; train() reports the loss it makes instead.
+            assert not np.isfinite(model.forward(w).data).all()
 
     def test_every_variant_runs(self):
         w = np.random.default_rng(4).normal(size=(2, 8))

@@ -1,14 +1,17 @@
 """The package's public names, and that it runs on numpy alone, without tests/."""
 
+import importlib
 import os
 import subprocess
 import sys
+
+import pytest
 
 import seedcast
 
 PUBLIC = [
     "Adam", "ConfigError", "DataError", "Dataset", "DegenerateInputError", "DivergenceError",
-    "InputError", "MetricsReport", "ModelConfig", "NumericError", "RngState", "SeedModel",
+    "InputError", "MetricsReport", "ModelConfig", "NumericError", "SeedModel",
     "SeedcastError", "ShapeError", "SyntheticSpec", "Tensor", "TrainConfig", "acf_entropy_study",
     "apply_variant", "autocorrelation", "evaluate", "generate_synthetic", "load_csv",
     "loss_pred", "loss_spen", "make_splits", "no_grad", "spectral_entropy", "split",
@@ -36,7 +39,8 @@ def test_public_names_and_no_test_tools():
         assert not hasattr(seedcast.Tensor, name), name
     for name in ("ShapingFilter", "wiener_khinchin_pair"):
         assert not hasattr(seedcast.spectral, name), name
-    assert not hasattr(seedcast.RngState, "integers")
+    with pytest.raises(ImportError):
+        importlib.import_module("seedcast.rng")
     assert not hasattr(seedcast.SeedModel, "count_params")
 
 

@@ -170,8 +170,7 @@ class TestAutocorrelation:
         assert acf[p - 1] == pytest.approx(1.0, abs=0.05)
 
     def test_white_noise_stays_small(self):
-        from seedcast.rng import RngState
-        x = RngState(11).normal(1024)
+        x = np.random.default_rng(11).normal(size=1024)
         acf = S.autocorrelation(x, 512)
         assert np.abs(acf).max() < 0.1
 
@@ -222,15 +221,13 @@ class TestGenerateSynthetic:
         assert np.array_equal(S.generate_synthetic(spec), expected)
 
     def test_alpha_one_is_pure_noise_draw(self):
-        from seedcast.rng import RngState
         spec = S.SyntheticSpec(1.0, period=24, length=96, seed=5)
-        assert np.array_equal(S.generate_synthetic(spec), RngState(5).normal(96))
+        assert np.array_equal(S.generate_synthetic(spec), np.random.default_rng(5).normal(size=96))
 
     def test_alpha_half_mixes_elementwise(self):
-        from seedcast.rng import RngState
         spec = S.SyntheticSpec(0.5, period=12, length=64, seed=6)
         signal = np.sin(2 * np.pi * np.arange(64) / 12)
-        noise = RngState(6).normal(64)
+        noise = np.random.default_rng(6).normal(size=64)
         assert np.allclose(S.generate_synthetic(spec), 0.5 * signal + 0.5 * noise, atol=1e-15)
 
     def test_invalid_spec(self):
@@ -238,6 +235,9 @@ class TestGenerateSynthetic:
             S.SyntheticSpec(1.5, period=24, length=96)
         with pytest.raises(InputError):
             S.SyntheticSpec(0.5, period=1, length=96)
+        for seed in (-1, 1.5, True):
+            with pytest.raises(InputError, match="seed"):
+                S.SyntheticSpec(0.5, period=24, length=96, seed=seed)
         with pytest.raises(InputError):
             S.SyntheticSpec(0.5, period=24, length=40)
 
