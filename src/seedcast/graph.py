@@ -19,28 +19,30 @@ from . import tensor as T
 from .attention import _merge_heads, _split_heads, split_heads
 from .errors import ConfigError, ShapeError
 
+# Block ``b`` of a graph's weights, rebuilt as a new array, with ``grad(g, out)``:
+# the map from its gradient ``g``, which it may overwrite, to its scores' in ``out``.
+Rebuilt = tuple[np.ndarray, Callable[[np.ndarray, np.ndarray], None]]
+
+
 @dataclass
 class SignedGraph:
-    """Per-head signed adjacency (..., H, n, n); masked entries are exactly zero.
+    """Per-head signed adjacency (..., H, n, n), a view over its scores one block at a time.
 
-    ``rebuild(block)`` returns ``weights.data[block]`` again, bit for bit, for
-    a slice ``block`` of the leading axis, from arrays the tape keeps anyway,
-    so that ``gcn``'s backward need not keep the graph. A graph built from a
-    bare tensor keeps its weights for it.
+    A block is a slice of the leading axis (see ``_blocks``); masked entries
+    are exactly zero. ``block(b)`` reads block ``b`` of the weights in the
+    forward. ``rebuild(b)`` builds it again, bit for bit, from arrays the
+    tape keeps anyway, with its backward. No tape node keeps a graph:
+    ``gcn``'s links straight to ``scores``.
     """
 
-    weights: T.Tensor
+    scores: T.Tensor
+    block: Callable[[slice], np.ndarray]
+    rebuild: Callable[[slice], Rebuilt]
     mask: np.ndarray | None = None  # bool retention mask once KNN-sparsified
-    rebuild: Callable[[slice], np.ndarray] | None = None
-
-    def __post_init__(self):
-        if self.rebuild is None:
-            data = self.weights.data
-            self.rebuild = lambda block: data[block]
 
 
-def _blocks(a: np.ndarray) -> list[slice]:
-    """Slices of a (..., H, n, n) graph's first axis, each about ``tensor._BLOCK_BYTES`` of it.
+def _blocks(a: np.ndarray, parts: int = 1) -> list[slice]:
+    """Slices of a (..., H, n, n) graph's first axis, each ``tensor._BLOCK_BYTES / parts`` of it.
 
     The graph stages run block by block into full-size outputs, so their
     temporaries stay in cache and small beside the tape. A graph without axes
@@ -49,7 +51,7 @@ def _blocks(a: np.ndarray) -> list[slice]:
     if a.ndim < 4:
         return [slice(None)]
     rows = a.shape[0]
-    step = max(1, T._BLOCK_BYTES * rows // max(a.nbytes, 1))
+    step = max(1, T._BLOCK_BYTES * rows // (parts * max(a.nbytes, 1)))
     return [slice(i, i + step) for i in range(0, max(rows, 1), step)]
 
 
@@ -72,14 +74,14 @@ def make_windows(tokens: T.Tensor) -> T.Tensor:
     c, n, d = x.shape[-3:]
     if n < 2:
         raise ConfigError(f"need at least 2 patches for local windows, got {n}")
-    lead = x.shape[:-3]
+    shape, lead = x.shape, x.shape[:-3]
     paired = np.empty(lead + (n - 1, c, 2, d))
     paired[..., 0, :] = np.swapaxes(x[..., :, : n - 1, :], -3, -2)
     paired[..., 1, :] = np.swapaxes(x[..., :, 1:, :], -3, -2)
 
     def _bw(g):
         g = np.swapaxes(g.reshape(lead + (n - 1, c, 2, d)), -4, -3)  # (..., C, K, 2, D)
-        g_prev, g_next = np.zeros(x.shape), np.zeros(x.shape)
+        g_prev, g_next = np.zeros(shape), np.zeros(shape)
         g_prev[..., : n - 1, :] += g[..., 0, :]
         g_next[..., 1:, :] += g[..., 1, :]
         return g_prev, g_next
@@ -105,13 +107,12 @@ def signed_distance(window: T.Tensor, q: T.Tensor, heads: int) -> T.Tensor:
     xh, qd = _split_heads(window.data, heads), q.data  # (..., H, n, d_h)
     need_x, need_q = window.requires_grad, q.requires_grad
 
-    def project():  # x_h Q, one 2-D product over the collapsed batch axes
-        return (xh.reshape(-1, d_h) @ qd).reshape(xh.shape)
-
     def _bw(g):
-        xq = project()
+        x2 = xh.reshape(-1, d_h)  # one copy of x_h, for both products that read it
+        xq = (x2 @ qd).reshape(xh.shape)
         g_xq = g @ xh
-        g_q = xh.reshape(-1, d_h).T @ g_xq.reshape(-1, d_h) if need_q else None
+        g_q = x2.T @ g_xq.reshape(-1, d_h) if need_q else None
+        del x2
         if not need_x:
             return None, g_q
         # x_h feeds both factors: the left one's gradient first, then the right one's.
@@ -119,53 +120,97 @@ def signed_distance(window: T.Tensor, q: T.Tensor, heads: int) -> T.Tensor:
         g_xh = g_xh + np.swapaxes(np.swapaxes(xq, -1, -2) @ g, -1, -2)
         return _merge_heads(g_xh), g_q
 
-    return T._node(project() @ np.swapaxes(xh, -1, -2), (window, q), _bw)
+    return T._node(_project(xh, qd) @ np.swapaxes(xh, -1, -2), (window, q), _bw)
 
 
-def sign_softmax_graph(scores: T.Tensor) -> SignedGraph:
+def _project(xh: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """x_h Q, one 2-D product over the collapsed batch axes."""
+    return (xh.reshape(-1, q.shape[-1]) @ q).reshape(xh.shape)
+
+
+def rebuild_scores(window: np.ndarray, q: np.ndarray, heads: int) -> Callable[[slice], np.ndarray]:
+    """``rebuild(b)``: block ``b`` of ``signed_distance``'s scores over these arrays, again.
+
+    A new array from the same two products, so the same bits. It reads only
+    the window and Q, which that node keeps, so a graph builder can keep it
+    instead of a graph.
+    """
+    xh = _split_heads(window, heads)
+    return lambda b: _project(xh[b], q) @ np.swapaxes(xh[b], -1, -2)
+
+
+# The graph builders compute their weights block by block for the forward and
+# keep only ``rebuild`` (a new array of a block of the scores, which they may
+# overwrite) and per-row values. Each rebuilt block's backward takes the
+# derivative of the builder's op chain in that chain's own order.
+
+
+def _sign_soft(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sign(s), with sign(0) = +, and the row softmax of |s|."""
+    sign = np.where(s >= 0.0, 1.0, -1.0)
+    return sign, T._softmax(s * sign)
+
+
+def sign_softmax_graph(scores: T.Tensor, rebuild: Callable[[slice], np.ndarray]) -> SignedGraph:
     """Row softmax over |s|, re-signed by sign(s); sign(0) counts as +."""
-    sign = np.where(scores.data >= 0.0, 1.0, -1.0)
-    soft = T.softmax(scores * T.Tensor(sign), axis=-1)
-    out = soft.data  # its node keeps it, as the product's keeps the signs
-    return SignedGraph(soft * T.Tensor(sign), rebuild=lambda block: out[block] * sign[block])
+    s = scores.data
+    w = np.empty(s.shape)
+    for b in _blocks(s):
+        sign, soft = _sign_soft(s[b])
+        np.multiply(soft, sign, out=w[b])
+
+    def again(b):
+        sign, soft = _sign_soft(rebuild(b))
+        return soft * sign, lambda g, out: np.multiply(
+            T._softmax_grad(soft, g * sign, out=out), sign, out=out)
+
+    return SignedGraph(scores, lambda b: w[b], again)
 
 
-def tanh_l1_graph(scores: T.Tensor) -> SignedGraph:
+def tanh_l1_graph(scores: T.Tensor, rebuild: Callable[[slice], np.ndarray]) -> SignedGraph:
     """tanh(s) normalized by the row L1 norm; all-zero rows stay all-zero.
 
-    One tape node that keeps tanh(s) and the row norms, not its output, which
-    ``rebuild`` divides again. The row norms and the backward run block by
-    block; the backward takes the derivative of the tanh, |.|, row-sum and
-    division chain in that chain's own order, in its output and one scratch
-    block.
+    Keeps the row norms. The rebuilt block's backward runs in its output and
+    one scratch block.
     """
-    th = np.tanh(scores.data)
-    denom = np.empty(th.shape[:-1] + (1,))
-    blocks = _blocks(th)
-    for b in blocks:  # |tanh| one block at a time
-        np.abs(th[b]).sum(axis=-1, keepdims=True, out=denom[b])
-    denom += denom == 0.0  # an all-zero row divides by 1
+    s = scores.data
+    w, denom = np.empty(s.shape), np.empty(s.shape[:-1] + (1,))
+    for b in _blocks(s):
+        th, d = np.tanh(s[b], out=w[b]), denom[b]
+        np.abs(th).sum(axis=-1, keepdims=True, out=d)
+        d += d == 0.0  # an all-zero row divides by 1
+        th /= d
 
-    def _bw(g):
-        g_th = np.empty(g.shape)
-        for b in blocks:
-            tb, d, gb = th[b], denom[b], g[b]
-            t = gb * tb
+    def again(b):
+        s_b, d = rebuild(b), denom[b]
+        th = np.tanh(s_b, out=s_b)
+
+        def grad(g, out):
+            t = g * th
             t /= -(d * d)  # the sign of -g * th / denom², carried by the divisor
             g_denom = t.sum(axis=-1, keepdims=True)
-            gt = np.divide(gb, d, out=g_th[b])
-            gt += np.multiply(np.sign(tb, out=t), g_denom, out=t)
-            np.multiply(tb, tb, out=t)
+            gt = np.divide(g, d, out=out)
+            gt += np.multiply(np.sign(th, out=t), g_denom, out=t)
+            np.multiply(th, th, out=t)
             gt *= np.subtract(1.0, t, out=t)
-        return (g_th,)
 
-    return SignedGraph(T._node(th / denom, (scores,), _bw),
-                       rebuild=lambda block: th[block] / denom[block])
+        return th / d, grad
+
+    return SignedGraph(scores, lambda b: w[b], again)
 
 
-def plain_softmax_graph(scores: T.Tensor) -> SignedGraph:
+def plain_softmax_graph(scores: T.Tensor, rebuild: Callable[[slice], np.ndarray]) -> SignedGraph:
     """Ordinary softmax on raw scores: nonnegative weights, signs erased."""
-    return SignedGraph(T.softmax(scores, axis=-1))
+    s = scores.data
+    w = np.empty(s.shape)
+    for b in _blocks(s):
+        w[b] = T._softmax(s[b])
+
+    def again(b):
+        soft = T._softmax(rebuild(b))
+        return soft.copy(), lambda g, out: T._softmax_grad(soft, g, out=out)
+
+    return SignedGraph(scores, lambda b: w[b], again)
 
 
 GRAPH_BUILDERS = {
@@ -179,17 +224,17 @@ def knn_sparsify(graph: SignedGraph, k: int) -> SignedGraph:
     """Keep the k largest-|weight| entries per row (self always kept, counted).
 
     Ties break toward the lower column index. The bool mask is a constant of
-    the forward pass, applied in one tape node: gradients flow only through
-    retained entries. The mask is found block by block.
+    the forward pass, found block by block and applied to each block read or
+    rebuilt: gradients flow only through retained entries.
     """
-    n = graph.weights.shape[-1]
+    n = graph.scores.shape[-1]
     if not 1 <= k <= n:
         raise ConfigError(f"knn k must be in [1, {n}], got {k}")
-    w, rebuild = graph.weights, graph.rebuild
-    mask = np.empty(w.shape, dtype=bool)
+    block, rebuild = graph.block, graph.rebuild
+    mask = np.empty(graph.scores.shape, dtype=bool)
     idx = np.arange(n)
-    for b in _blocks(w.data):
-        absw = np.abs(w.data[b])
+    for b in _blocks(graph.scores.data):
+        absw = np.abs(block(b))
         absw[np.isnan(absw)] = -1.0  # NaN ranks last, as in a sort
         absw[..., idx, idx] = np.inf  # self-edge ranks first
         # Keep everything at or above the k-th largest |w|. Every row keeps at
@@ -204,9 +249,14 @@ def knn_sparsify(graph: SignedGraph, k: int) -> SignedGraph:
             room = k - above.sum(axis=-1, keepdims=True)
             np.logical_or(above, tie & (np.cumsum(tie, axis=-1, dtype=np.int32) <= room),
                           out=kept)
-    del absw  # the last block, freed before the output is made
-    return SignedGraph(T._node(w.data * mask, (w,), lambda g: (g * mask,)), mask,
-                       lambda block: rebuild(block) * mask[block])
+
+    def again(b):
+        w, grad = rebuild(b)
+        m = mask[b]
+        w *= m
+        return w, lambda g, out: grad(np.multiply(g, m, out=g), out)
+
+    return SignedGraph(graph.scores, lambda b: block(b) * mask[b], again, mask)
 
 
 def gcn(window: T.Tensor, graph: SignedGraph, weight: T.Tensor) -> T.Tensor:
@@ -214,49 +264,52 @@ def gcn(window: T.Tensor, graph: SignedGraph, weight: T.Tensor) -> T.Tensor:
 
     ``weight`` holds the (H, d_h, d_h) per-head transforms W_h. The head split
     of ``window`` stays a taped view; the convolution after it is one tape
-    node with parents ``(graph.weights, x_h, weight)`` that keeps ``x_h`` and
-    ``W``, and no graph: its backward asks ``graph.rebuild`` for one block of
-    it at a time. It recomputes ``G @ x_h``, ``@ W_h`` and the sigmoid, and
-    takes the chain's derivative in that chain's own order. Forward and
-    backward run block by block into full-size outputs; ``W``'s per-window
-    gradients fill one full array, summed over the batch axes once.
+    node with parents ``(graph.scores, x_h, weight)`` that keeps ``x_h``,
+    ``W`` and ``graph.rebuild``, and no graph. Forward and backward run block
+    by block into full-size outputs. The backward rebuilds each block of the
+    graph, recomputes ``G @ x_h``, ``@ W_h`` and the sigmoid, takes the
+    chain's derivative in that chain's own order, and hands the graph's
+    gradient to the block's own backward into the scores'. It holds several
+    graph-sized blocks at once, so its blocks are a quarter of the forward's.
+    ``W``'s per-window gradients fill one full array, summed over the batch
+    axes once.
     """
     d = window.shape[-1]
-    gd = graph.weights.data
-    heads = gd.shape[-3]
+    scores = graph.scores
+    heads = scores.shape[-3]
     if d % heads != 0:
         raise ConfigError(f"gcn heads ({heads}) must divide feature width ({d})")
     xh = split_heads(window, heads)  # (..., H, n, d_h)
-    if gd.shape[:-2] != xh.shape[:-2]:
-        raise ShapeError(f"gcn graph {gd.shape} does not fit head-split nodes {xh.shape}")
-    rebuild, xd, wd, g_shape = graph.rebuild, xh.data, weight.data, gd.shape
-    need_g, need_x, need_w = graph.weights.requires_grad, xh.requires_grad, weight.requires_grad
-    blocks = _blocks(gd)
+    if scores.shape[:-2] != xh.shape[:-2]:
+        raise ShapeError(f"gcn graph {scores.shape} does not fit head-split nodes {xh.shape}")
+    rebuild, xd, wd, s_shape = graph.rebuild, xh.data, weight.data, scores.shape
+    need_s, need_x, need_w = scores.requires_grad, xh.requires_grad, weight.requires_grad
     conv = np.empty(window.shape)
     conv_h = _split_heads(conv, heads)  # a view: each block's heads land merged in conv
-    for b in blocks:
-        conv_h[b] = T._silu(gd[b] @ xd[b] @ wd)
+    for b in _blocks(scores.data):
+        conv_h[b] = T._silu(graph.block(b) @ xd[b] @ wd)
+    blocks = _blocks(scores.data, 4)
 
     def _bw(g):
         g = _split_heads(g, heads)
-        g_g = np.empty(g_shape) if need_g else None
+        g_s = np.empty(s_shape) if need_s else None
         g_x = np.empty(xd.shape) if need_x else None
         g_w = np.empty(xd.shape[:-2] + wd.shape[-2:]) if need_w else None
         for b in blocks:
-            gb = rebuild(b)
+            gb, grad = rebuild(b)
             agg = gb @ xd[b]
             pre = agg @ wd
             g_pre = T._silu_grad(g[b], pre, T._sigmoid(pre))
             if need_w:
                 np.matmul(np.swapaxes(agg, -1, -2), g_pre, out=g_w[b])
             g_agg = g_pre @ np.swapaxes(wd, -1, -2)
-            if need_g:
-                np.matmul(g_agg, np.swapaxes(xd[b], -1, -2), out=g_g[b])
+            if need_s:
+                grad(g_agg @ np.swapaxes(xd[b], -1, -2), g_s[b])
             if need_x:
                 np.matmul(np.swapaxes(gb, -1, -2), g_agg, out=g_x[b])
-        return g_g, g_x, T._unbroadcast(g_w, wd.shape) if need_w else None
+        return g_s, g_x, T._unbroadcast(g_w, wd.shape) if need_w else None
 
-    return window + T._node(conv, (graph.weights, xh, weight), _bw)
+    return window + T._node(conv, (scores, xh, weight), _bw)
 
 
 def pool_windows(gcn_out: T.Tensor, mode: str = "mean") -> T.Tensor:
@@ -340,9 +393,11 @@ def context_spatial_extract(tokens: T.Tensor, p: SpatialParams) -> T.Tensor:
     else:
         nodes = tokens.reshape(tokens.shape[:-3] + (graphs, n_nodes, d))  # (..., 1, C*N, D)
         k = n_nodes  # every edge kept
-    # Unnamed, the scores are freed once the graph builder returns, its graph once KNN has.
-    graph = knn_sparsify(GRAPH_BUILDERS[p.graph_variant](signed_distance(nodes, p.q, p.heads)), k)
-    out = gcn(nodes, graph, p.gcn_weight)
+    # The builder rebuilds its scores for the backward from the window and Q. Unnamed,
+    # the scores and the graph are freed once the convolution returns.
+    rebuild = rebuild_scores(nodes.data, p.q.data, p.heads)
+    out = gcn(nodes, knn_sparsify(GRAPH_BUILDERS[p.graph_variant](
+        signed_distance(nodes, p.q, p.heads), rebuild), k), p.gcn_weight)
     if p.mode == "local":
         return pool_windows(out, p.pool)
     if p.mode == "same_step":

@@ -201,7 +201,8 @@ def train(model: SeedModel, splits: DatasetSplits, cfg: TrainConfig,
     The loss weights its entropy-matching term by ``model.config.lam``.
     Deterministic given the seed: batch order comes from the config's RNG and
     every update is sequential. ``on_epoch(epoch, val_mse)``, when given, is
-    called after each epoch's validation pass.
+    called after each epoch's validation pass. Raises ``DivergenceError`` for
+    a non-finite loss, or for a parameter that a step left non-finite.
     """
     for name, part in (("train", splits.train), ("val", splits.val), ("test", splits.test)):
         if len(part) == 0:
@@ -226,6 +227,10 @@ def train(model: SeedModel, splits: DatasetSplits, cfg: TrainConfig,
             opt.zero_grad()
             loss.backward()
             opt.step()
+            for name, p in model.named_params().items():
+                if not np.isfinite(p.data).all():
+                    raise DivergenceError(
+                        f"non-finite parameter {name!r} at epoch {epoch}, step {step}")
         epochs_run = epoch + 1
         val = validation_mse(model, splits.val)
         if on_epoch is not None:

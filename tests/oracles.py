@@ -13,6 +13,7 @@ from seedcast import graph as G
 from seedcast import model as M
 from seedcast import tensor as T
 from seedcast.errors import ShapeError
+from tests_helpers import graph_weights, weights_graph
 
 
 def matmul(a, b):
@@ -77,8 +78,9 @@ def temporal_attention(tokens, params):
 
 
 def gcn(window, graph, weight):
-    xh = A.split_heads(window, graph.weights.shape[-3])
-    agg = matmul(graph.weights, xh)
+    weights = graph_weights(graph)
+    xh = A.split_heads(window, weights.shape[-3])
+    agg = matmul(weights, xh)
     return window + merge_heads(silu(matmul(agg, weight)))
 
 
@@ -152,16 +154,30 @@ def absolute(a):
     return T._node(np.abs(ad), (a,), lambda g: (g * np.sign(ad),))
 
 
-def tanh_l1_graph(scores):
+# The graph builders and KNN take and give graphs whose weights are a chain of nodes;
+# the builders read their scores as they are and leave ``rebuild`` unused.
+
+
+def tanh_l1_graph(scores, rebuild=None):
     th = tanh(scores)
     denom = absolute(th).sum(axis=-1, keepdims=True)
     guard = (denom.data == 0.0).astype(np.float64)
-    return G.SignedGraph(th / (denom + T.Tensor(guard)))
+    return weights_graph(th / (denom + T.Tensor(guard)))
+
+
+def sign_softmax_graph(scores, rebuild=None):
+    sign = T.Tensor(np.where(scores.data >= 0.0, 1.0, -1.0))
+    return weights_graph(T.softmax(scores * sign, axis=-1) * sign)
+
+
+def plain_softmax_graph(scores, rebuild=None):
+    return weights_graph(T.softmax(scores, axis=-1))
 
 
 def knn_sparsify(graph, k):
-    mask = knn_mask(graph.weights.data, k)
-    return G.SignedGraph(graph.weights * T.Tensor(mask.astype(np.float64)), mask)
+    weights = graph_weights(graph)
+    mask = knn_mask(weights.data, k)
+    return weights_graph(weights * T.Tensor(mask.astype(np.float64)), mask)
 
 
 def knn_mask(weights, k):
@@ -183,6 +199,8 @@ ORACLES = (
     (T, "linear", linear),
     (M, "layer_norm", layer_norm),
     (G.GRAPH_BUILDERS, "tanh", tanh_l1_graph),
+    (G.GRAPH_BUILDERS, "softmax", sign_softmax_graph),
+    (G.GRAPH_BUILDERS, "plain", plain_softmax_graph),
     (G, "knn_sparsify", knn_sparsify),
     (M, "temporal_attention", temporal_attention),
     (G, "gcn", gcn),

@@ -25,8 +25,9 @@ from seedcast import spectral as S
 from seedcast import tensor as T
 from seedcast import training as TR
 from seedcast.embedding import instance_normalize, patch_and_embed
-from tests_helpers import (attention_params, grad_check, grad_check_many, param_tensors,
-                           persistence_report, spatial_params, wiener_khinchin_pair)
+from tests_helpers import (attention_params, build_graph, grad_check, grad_check_many,
+                           graph_weights, param_tensors, persistence_report, spatial_params,
+                           wiener_khinchin_pair)
 
 
 @pytest.fixture
@@ -147,22 +148,22 @@ def test_criterion_4_signed_graph_suite(criterion):
             signs = np.where(scores >= 0, 1.0, -1.0)
             st = T.Tensor(scores)
 
-            tanh_g = G.tanh_l1_graph(st)
-            assert np.abs(np.abs(tanh_g.weights.data).sum(-1) - 1.0).max() < 1e-12
+            tanh_g = build_graph(G.tanh_l1_graph, st)
+            assert np.abs(np.abs(graph_weights(tanh_g).data).sum(-1) - 1.0).max() < 1e-12
 
-            soft_g = G.sign_softmax_graph(st)
-            assert np.abs(np.abs(soft_g.weights.data).sum(-1) - 1.0).max() < 1e-12
+            soft_g = build_graph(G.sign_softmax_graph, st)
+            assert np.abs(np.abs(graph_weights(soft_g).data).sum(-1) - 1.0).max() < 1e-12
 
-            plain = G.plain_softmax_graph(st)
-            assert np.all(plain.weights.data >= 0.0)
+            plain = build_graph(G.plain_softmax_graph, st)
+            assert np.all(graph_weights(plain).data >= 0.0)
 
             k = int(rng.integers(1, n + 1))
             for g in (tanh_g, soft_g):
                 masked = G.knn_sparsify(g, k)
-                kept = masked.mask & (masked.weights.data != 0)
-                assert np.all(np.sign(masked.weights.data[kept]) == signs[kept])
+                kept = masked.mask & (graph_weights(masked).data != 0)
+                assert np.all(np.sign(graph_weights(masked).data[kept]) == signs[kept])
                 again = G.knn_sparsify(masked, k)
-                assert np.array_equal(masked.weights.data, again.weights.data)
+                assert np.array_equal(graph_weights(masked).data, graph_weights(again).data)
 
 
 def test_criterion_5_gradient_suite(criterion):

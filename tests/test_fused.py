@@ -1,13 +1,14 @@
 """Fused ops against the op chains they replaced (tests/oracles.py).
 
-``linear``, ``layer_norm``, ``tanh_l1_graph``, ``knn_sparsify``,
-``temporal_attention``, ``gcn``, ``feed_forward``, ``make_windows``,
-``signed_distance`` and ``pool_windows`` each build one tape node with a
-hand-written backward. Their values and gradients must match the chains bit
-for bit, their gradients must pass a finite-difference check, their nodes
-must hang directly off their inputs, and they must keep fewer arrays on the
-tape than the chains did. The graph stages, which run in blocks of the
-batch, must give the same bits in several blocks as in one.
+``linear``, ``layer_norm``, ``temporal_attention``, ``gcn``,
+``feed_forward``, ``make_windows``, ``signed_distance`` and ``pool_windows``
+each build one tape node with a hand-written backward; the graph builders
+and ``knn_sparsify`` hand ``gcn``'s node a per-block backward instead
+(``graph_weights`` tapes it here). Their values and gradients must match
+the chains bit for bit, their gradients must pass a finite-difference check,
+their nodes must hang directly off their inputs, and they must keep fewer
+arrays on the tape than the chains did. The graph stages, which run in
+blocks of the batch, must give the same bits in several blocks as in one.
 """
 
 import tracemalloc
@@ -24,7 +25,8 @@ from seedcast import tensor as T
 from seedcast import training as TR
 from seedcast.errors import ShapeError
 from seedcast.model import VARIANTS, ModelConfig, SeedModel
-from tests_helpers import grad_check_many, spatial_params, tape_bytes
+from tests_helpers import (build_graph, grad_check_many, graph_weights, spatial_params,
+                           tape_arrays, tape_bytes, weights_graph)
 
 
 def _run(op, arrays, seed):
@@ -54,19 +56,45 @@ def assert_grad_checks(op, arrays, rng):
 
 
 def _knn(k):
-    return lambda w: G.knn_sparsify(G.SignedGraph(w), k).weights
+    return lambda w: graph_weights(G.knn_sparsify(weights_graph(w), k))
 
 
 def _knn_oracle(k):
-    return lambda w: oracles.knn_sparsify(G.SignedGraph(w), k).weights
+    return lambda w: graph_weights(oracles.knn_sparsify(weights_graph(w), k))
 
 
 def _tanh_knn(k):
-    return lambda s: G.knn_sparsify(G.tanh_l1_graph(s), k).weights
+    return lambda s: graph_weights(G.knn_sparsify(build_graph(G.tanh_l1_graph, s), k))
 
 
 def _tanh_knn_oracle(k):
-    return lambda s: oracles.knn_sparsify(oracles.tanh_l1_graph(s), k).weights
+    return lambda s: graph_weights(oracles.knn_sparsify(oracles.tanh_l1_graph(s), k))
+
+
+# Builder name -> (builder, the chain it replaced).
+BUILDERS = {name: (builder, getattr(oracles, builder.__name__))
+            for name, builder in G.GRAPH_BUILDERS.items()}
+
+
+def _built(name, k=None, oracle=False):
+    """Builder ``name``'s weights over some scores, KNN-sparsified when ``k`` is given."""
+    fused, chain = BUILDERS[name]
+
+    def op(s):
+        graph = chain(s) if oracle else build_graph(fused, s)
+        if k is not None:
+            graph = (oracles.knn_sparsify if oracle else G.knn_sparsify)(graph, k)
+        return graph_weights(graph)
+
+    return op
+
+
+def _built_gcn(name, k, oracle=False):
+    """``gcn`` over builder ``name``'s KNN-sparsified graph of its scores: (window, scores, W)."""
+    fused, chain = BUILDERS[name]
+    if oracle:
+        return lambda x, s, w: oracles.gcn(x, oracles.knn_sparsify(chain(s), k), w)
+    return lambda x, s, w: G.gcn(x, G.knn_sparsify(build_graph(fused, s), k), w)
 
 
 class TestLinear:
@@ -129,18 +157,39 @@ class TestTanhL1Graph:
     def test_matches_oracle_and_grad_checks(self):
         rng = np.random.default_rng(4)
         arrays = [rng.normal(size=(2, 3, 6, 6)) * 2]
-        op = lambda s: G.tanh_l1_graph(s).weights  # noqa: E731
-        assert_matches_oracle(op, lambda s: oracles.tanh_l1_graph(s).weights, arrays, rng)
-        assert_grad_checks(op, arrays, rng)
+        assert_matches_oracle(_built("tanh"), _built("tanh", oracle=True), arrays, rng)
+        assert_grad_checks(_built("tanh"), arrays, rng)
 
     def test_all_zero_rows_match_oracle(self):
         rng = np.random.default_rng(5)
         s = rng.normal(size=(2, 5, 5))
         s[0, 2] = 0.0
         s[1] = 0.0
-        assert_matches_oracle(lambda s: G.tanh_l1_graph(s).weights,
-                              lambda s: oracles.tanh_l1_graph(s).weights, [s], rng)
-        assert np.all(G.tanh_l1_graph(T.Tensor(s)).weights.data[1] == 0.0)
+        assert_matches_oracle(_built("tanh"), _built("tanh", oracle=True), [s], rng)
+        assert np.all(_built("tanh")(T.Tensor(s)).data[1] == 0.0)
+
+
+class TestEveryBuilder:
+    """Each builder, alone, through KNN and through the convolution, against its chain."""
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_matches_oracle_and_grad_checks(self, name):
+        rng = np.random.default_rng(22)
+        s = rng.normal(size=(2, 3, 6, 6)) * 2
+        assert_grad_checks(_built(name, 3), [s], rng)
+        s[0, 1, 2] = 0.0  # an all-zero row, and zero scores in the softmax signs
+        for k in (None, 1, 3, 6):
+            assert_matches_oracle(_built(name, k), _built(name, k, oracle=True), [s], rng)
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_through_gcn_matches_oracle_and_grad_checks(self, name):
+        rng = np.random.default_rng(23)
+        arrays = [rng.normal(size=(2, 3, 6, 4)), rng.normal(size=(2, 3, 2, 6, 6)) * 2,
+                  rng.normal(size=(2, 2, 2))]
+        for k in (2, 6):
+            assert_matches_oracle(_built_gcn(name, k), _built_gcn(name, k, oracle=True),
+                                  arrays, rng)
+        assert_grad_checks(_built_gcn(name, 3), arrays, rng)
 
 
 class TestKnnSparsify:
@@ -158,7 +207,7 @@ class TestKnnSparsify:
         rng = np.random.default_rng(7)
         w = np.round(rng.normal(size=(3, 4, 10, 10)), decimals)
         for k in (2, 4, 7):
-            np.testing.assert_array_equal(G.knn_sparsify(G.SignedGraph(T.Tensor(w)), k).mask,
+            np.testing.assert_array_equal(G.knn_sparsify(weights_graph(T.Tensor(w)), k).mask,
                                           oracles.knn_mask(w, k))
             assert_matches_oracle(_knn(k), _knn_oracle(k), [w], rng)
 
@@ -169,7 +218,7 @@ class TestKnnSparsify:
                        [0.5, 0.9, 0.1, 0.5],
                        [0.3, 0.3, 0.9, 0.1],
                        [0.1, 0.2, 0.2, 0.9]]])
-        mask = G.knn_sparsify(G.SignedGraph(T.Tensor(w)), 3).mask
+        mask = G.knn_sparsify(weights_graph(T.Tensor(w)), 3).mask
         np.testing.assert_array_equal(mask, oracles.knn_mask(w, 3))
         assert mask.sum(axis=-1).tolist() == [[3, 3, 3, 3]]
 
@@ -182,7 +231,7 @@ class TestKnnSparsify:
         for k in (2, 5):
             assert_matches_oracle(_tanh_knn(k), _tanh_knn_oracle(k), [s], rng)
             assert_matches_oracle(_knn(k), _knn_oracle(k), [w], rng)
-            np.testing.assert_array_equal(G.knn_sparsify(G.SignedGraph(T.Tensor(w)), k).mask,
+            np.testing.assert_array_equal(G.knn_sparsify(weights_graph(T.Tensor(w)), k).mask,
                                           oracles.knn_mask(w, k))
 
     def test_tanh_then_knn_grad_checks(self):
@@ -192,7 +241,7 @@ class TestKnnSparsify:
 
 class TestRebuild:
     """``SignedGraph.rebuild(block)`` gives back that block of the weights bit for bit,
-    whatever built them."""
+    whatever built them, and ``rebuild_scores`` that block of the scores."""
 
     BLOCKS = (slice(None), slice(0, 1), slice(1, 3), slice(2, 3))
 
@@ -201,17 +250,28 @@ class TestRebuild:
         rng = np.random.default_rng(16)
         s = rng.normal(size=(3, 3, 9, 9))
         s[0, 1, 2] = 0.0  # an all-zero row, and zero scores in the softmax signs
-        graph = G.GRAPH_BUILDERS[builder](T.Tensor(s, requires_grad=True))
+        graph = build_graph(G.GRAPH_BUILDERS[builder], T.Tensor(s, requires_grad=True))
         for k in (None, 1, 4, 9):
             sparse = graph if k is None else G.knn_sparsify(graph, k)
             for block in self.BLOCKS:
-                assert (sparse.rebuild(block).tobytes()
-                        == sparse.weights.data[block].tobytes()), (k, block)
+                assert (sparse.rebuild(block)[0].tobytes()
+                        == sparse.block(block).tobytes()), (k, block)
 
-    def test_hand_built_graph_keeps_its_weights(self):
-        w = T.Tensor(np.arange(8.0).reshape(2, 2, 2))
-        whole = G.SignedGraph(w).rebuild(slice(None))
-        assert np.shares_memory(whole, w.data) and np.array_equal(whole, w.data)
+    @pytest.mark.parametrize("n_vars", [8, 21])
+    @pytest.mark.parametrize("windows", [1, 2, 3])
+    def test_score_blocks_equal_the_distance(self, n_vars, windows):
+        # At the default width and heads, over make_windows' output as the model has it:
+        # each block of 1, 2 or 3 windows of five batches is rebuilt byte for byte.
+        rng = np.random.default_rng(24)
+        cfg = ModelConfig(n_vars=n_vars)
+        tokens = rng.normal(size=(5, n_vars, cfg.n_patches, cfg.d_model))
+        window = G.make_windows(T.Tensor(tokens)).data
+        q = rng.normal(size=(cfg.d_model // cfg.heads,) * 2) / 4
+        scores = G.signed_distance(T.Tensor(window), T.Tensor(q), cfg.heads).data
+        rebuild = G.rebuild_scores(window, q, cfg.heads)
+        for lo in range(0, 5, windows):
+            block = slice(lo, lo + windows)
+            assert rebuild(block).tobytes() == scores[block].tobytes(), block
 
 
 def _window_graph_shape(mode, n_vars, n_patches, heads):
@@ -257,7 +317,7 @@ class TestBlocks:
         seen, knn = [], G.knn_sparsify
 
         def spy(graph, k):  # keeps the graph KNN sees, to check that its ties are there
-            seen.append((graph.weights.data, k))
+            seen.append((graph_weights(graph).data, k))
             return knn(graph, k)
 
         monkeypatch.setattr(G, "knn_sparsify", spy)
@@ -317,7 +377,7 @@ def _attention(op, heads):
 
 
 def _gcn(op):
-    return lambda window, weights, w: op(window, G.SignedGraph(weights), w)
+    return lambda window, weights, w: op(window, weights_graph(weights), w)
 
 
 def _attention_arrays(rng, x_shape):
@@ -386,18 +446,16 @@ class TestTapeNodes:
         assert T.linear(x, w, b)._node.parents == (x, w, b)
         x, g, b = self._leaves((4, 5, 6), (6,), (6,))
         assert M.layer_norm(x, g, b)._node.parents == (x, g, b)
-        (scores,) = self._leaves((2, 3, 8, 8))
-        graph = G.tanh_l1_graph(scores)
-        assert graph.weights._node.parents == (scores,)
-        assert G.knn_sparsify(graph, 4).weights._node.parents == (graph.weights._node,)
         x, *weights = self._leaves((3, 5, 4), *[(4, 4)] * 4, *[(4,)] * 3)
         params = A.AttentionParams(*weights, heads=2)
         assert A.temporal_attention(x, params)._node.parents == (
             x, x, x, params.wq, params.bq, params.wk, params.wv, params.bv, params.wo, params.bo)
-        window, weights, w = self._leaves((3, 6, 4), (3, 2, 6, 6), (2, 2, 2))
-        node = G.gcn(window, G.SignedGraph(weights), w)._node  # window + convolution
+        # The convolution links the scores its graph was built from: no graph has a node.
+        window, scores, w = self._leaves((3, 6, 4), (3, 2, 6, 6), (2, 2, 2))
+        graph = G.knn_sparsify(build_graph(G.tanh_l1_graph, scores), 4)
+        node = G.gcn(window, graph, w)._node  # window + convolution
         conv = node.parents[1]
-        assert node.parents[0] is window and conv.parents[::2] == (weights, w)
+        assert node.parents[0] is window and conv.parents[::2] == (scores, w)
         head_split = conv.parents[1]  # swapaxes(reshape(window))
         assert head_split.parents[0].parents == (window,)
         h, w1, b1, w2, b2 = self._leaves((3, 5, 4), (4, 8), (8,), (8, 4), (4,))
@@ -415,20 +473,35 @@ class TestTapeNodes:
     def test_tanh_knn_stage_keeps_one_graph_beyond_the_scores(self):
         # The chain kept tanh, |tanh|, the quotient, a float mask and the
         # product: five graph-sized float64 arrays. What remains beyond the
-        # scores is tanh, the bool mask and the row norms.
+        # scores is the bool mask and the row norms, less than one graph.
         (scores,) = self._leaves((2, 3, 4, 42, 42))
-        out = G.knn_sparsify(G.tanh_l1_graph(scores), 21).weights
-        graph = scores.data.nbytes
-        assert tape_bytes(out) - graph < 1.5 * graph
+        graph = G.knn_sparsify(build_graph(G.tanh_l1_graph, scores), 21)
+        rows = scores.data.nbytes // 42  # one float64 norm per row
+        kept = tape_bytes(graph_weights(graph)) - scores.data.nbytes
+        assert kept == rows + graph.mask.nbytes < scores.data.nbytes
 
     def test_gcn_over_the_tanh_knn_stage_keeps_no_graph_of_its_own(self):
-        # The convolution rebuilds its graph from the stage's tanh, row norms
+        # The convolution rebuilds its graph from the stage's scores, row norms
         # and mask, so beyond the stage it keeps only the window and W.
         scores, window, w = self._leaves((2, 3, 2, 6, 6), (2, 3, 6, 4), (2, 2, 2))
-        graph = G.knn_sparsify(G.tanh_l1_graph(scores), 3)
+        graph = G.knn_sparsify(build_graph(G.tanh_l1_graph, scores), 3)
         out = G.gcn(window, graph, w)
-        assert tape_bytes(out) == (tape_bytes(graph.weights) + window.data.nbytes
+        assert tape_bytes(out) == (tape_bytes(graph_weights(graph)) + window.data.nbytes
                                    + w.data.nbytes)
+
+    def test_graph_stage_over_the_distance_keeps_no_graph(self):
+        # The tanh, KNN and convolution chain kept tanh, |tanh|, the quotient,
+        # a float mask, the product and the graph again: six graph-sized
+        # float64 arrays. The stage rebuilds each block of its graph from the
+        # window and Q that the distance keeps, so over the distance it keeps
+        # only those, W, the row norms and the bool mask.
+        window, q, w = self._leaves((2, 3, 42, 8), (4, 4), (2, 4, 4))
+        scores = G.signed_distance(window, q, 2)
+        rebuild = G.rebuild_scores(window.data, q.data, 2)
+        graph = G.knn_sparsify(G.tanh_l1_graph(scores, rebuild), 21)
+        rows = scores.data.nbytes // 42  # one float64 norm per row
+        assert tape_bytes(G.gcn(window, graph, w)) == (
+            window.data.nbytes + q.data.nbytes + w.data.nbytes + rows + graph.mask.nbytes)
 
     def test_spatial_nodes_keep_only_their_inputs(self):
         # The windows and the pooling keep shapes only (and, for max, which
@@ -441,6 +514,13 @@ class TestTapeNodes:
         assert tape_bytes(G.pool_windows(window, "mean")) == window.data.nbytes
         wins = 2 * 2 * 3 * 8  # (..., K-1, C, D) bools for K=3 windows of C=3 variables
         assert tape_bytes(G.pool_windows(window, "max")) == window.data.nbytes + wins
+
+    def test_make_windows_keeps_no_input_of_its_own(self):
+        # A leaf counts anyway; the data of a non-leaf input, which no other
+        # node keeps here, must not stay on the tape for the windows.
+        (tokens,) = self._leaves((2, 3, 4, 8))
+        scaled = tokens * 2.0
+        assert tape_bytes(G.make_windows(scaled)) == tape_bytes(scaled)
 
     def test_layer_norm_and_linear_keep_only_their_output(self):
         # Their tapes hold only the leaves and the row std; the output is the caller's.
@@ -460,7 +540,7 @@ class TestTapeNodes:
 
     def test_gcn_keeps_only_its_inputs(self):
         window, weights, w = self._leaves((3, 6, 4), (3, 2, 6, 6), (2, 2, 2))
-        out = G.gcn(window, G.SignedGraph(weights), w)
+        out = G.gcn(window, weights_graph(weights), w)
         assert tape_bytes(out) == window.data.nbytes + weights.data.nbytes + w.data.nbytes
 
     def test_feed_forward_keeps_its_input_and_pre_activation(self):
@@ -470,21 +550,30 @@ class TestTapeNodes:
             pre + sum(t.data.nbytes for t in (h, w1, b1, w2, b2)))
 
     @staticmethod
-    def _default_step_tape(n_vars, batch):
+    def _default_step_loss(n_vars, batch):
         rng = np.random.default_rng(0)
         x, y = rng.normal(size=(batch, n_vars, 96)), rng.normal(size=(batch, n_vars, 96))
-        return tape_bytes(TR.total_loss(y, SeedModel(ModelConfig(n_vars=n_vars)).forward(x), 0.1))
+        return TR.total_loss(y, SeedModel(ModelConfig(n_vars=n_vars)).forward(x), 0.1)
 
     def test_default_step_tape_at_21_variables(self):
         # One default-width `full` train step at train_weather21's shape. A tape
         # whose nodes kept their outputs held 237.8 MiB here, 140.6 MiB while
-        # attention, GCN and FFN were chains of nodes, and 101.3 MiB while the
-        # GCN kept its graph and the distance kept x_h Q; 77.5 MiB now.
-        assert self._default_step_tape(21, 32) <= 80 * 2**20
+        # attention, GCN and FFN were chains of nodes, 101.3 MiB while the GCN
+        # kept its graph and the distance kept x_h Q, and 77.5 MiB while the
+        # tanh graph kept its tanh; 60.2 MiB now.
+        assert tape_bytes(self._default_step_loss(21, 32)) <= 62 * 2**20
 
     def test_default_step_tape_at_8_variables(self):
-        # The same at train_mixture8's shape: 156.0, 90.1, 60.1, now 50.1 MiB.
-        assert self._default_step_tape(8, 64) <= 52 * 2**20
+        # The same at train_mixture8's shape: 156.0, 90.1, 60.1, 50.1, now 45.1 MiB.
+        assert tape_bytes(self._default_step_loss(8, 64)) <= 46 * 2**20
+
+    def test_default_step_tape_keeps_no_graph(self):
+        # Every graph stage rebuilds its blocks from the window and Q, so no
+        # array on the tape is as large as one layer's graph at
+        # train_weather21's shape: (B, K windows, H, 2C, 2C) float64.
+        cfg = ModelConfig(n_vars=21)
+        graph = 8 * 32 * (cfg.n_patches - 1) * cfg.heads * (2 * 21) ** 2
+        assert max(a.nbytes for a in tape_arrays(self._default_step_loss(21, 32))) < graph
 
     @staticmethod
     def _default_step_peak_above_tape(n_vars, batch):

@@ -5,7 +5,8 @@ from oracles import maximum
 from seedcast import graph as G
 from seedcast import tensor as T
 from seedcast.errors import ConfigError, ShapeError
-from tests_helpers import grad_check_many, param_tensors, spatial_params
+from tests_helpers import (build_graph, grad_check_many, graph_weights, param_tensors,
+                           spatial_params, weights_graph)
 
 
 def silu(x):
@@ -114,69 +115,69 @@ class TestSignedDistance:
 
 class TestSignSoftmaxGraph:
     def test_equal_magnitudes_opposite_signs(self):
-        g = G.sign_softmax_graph(T.Tensor(np.array([[[1.0, -1.0]]])))
-        assert np.allclose(g.weights.data, [[[0.5, -0.5]]], atol=1e-15)
+        g = build_graph(G.sign_softmax_graph, T.Tensor(np.array([[[1.0, -1.0]]])))
+        assert np.allclose(graph_weights(g).data, [[[0.5, -0.5]]], atol=1e-15)
 
     def test_zero_row_uses_plus_convention(self):
-        g = G.sign_softmax_graph(T.Tensor(np.array([[[0.0, 0.0]]])))
-        assert np.allclose(g.weights.data, [[[0.5, 0.5]]], atol=1e-15)
+        g = build_graph(G.sign_softmax_graph, T.Tensor(np.array([[[0.0, 0.0]]])))
+        assert np.allclose(graph_weights(g).data, [[[0.5, 0.5]]], atol=1e-15)
 
     def test_scalar_oracle(self):
-        g = G.sign_softmax_graph(T.Tensor(np.array([[[2.0, 0.0, -2.0]]])))
+        g = build_graph(G.sign_softmax_graph, T.Tensor(np.array([[[2.0, 0.0, -2.0]]])))
         z = 2 * np.exp(2.0) + 1.0
         expected = np.array([np.exp(2.0) / z, 1.0 / z, -np.exp(2.0) / z])
-        assert np.abs(g.weights.data[0, 0] - expected).max() < 1e-12
+        assert np.abs(graph_weights(g).data[0, 0] - expected).max() < 1e-12
 
     def test_magnitudes_form_probability_rows(self):
         rng = np.random.default_rng(6)
-        g = G.sign_softmax_graph(T.Tensor(rng.normal(size=(3, 5, 5)) * 2))
-        assert np.abs(np.abs(g.weights.data).sum(axis=-1) - 1.0).max() < 1e-12
+        g = build_graph(G.sign_softmax_graph, T.Tensor(rng.normal(size=(3, 5, 5)) * 2))
+        assert np.abs(np.abs(graph_weights(g).data).sum(axis=-1) - 1.0).max() < 1e-12
 
 
 class TestTanhL1Graph:
     def test_symmetric_pair(self):
-        g = G.tanh_l1_graph(T.Tensor(np.array([[[1.0, -1.0]]])))
-        assert np.allclose(g.weights.data, [[[0.5, -0.5]]], atol=1e-15)
+        g = build_graph(G.tanh_l1_graph, T.Tensor(np.array([[[1.0, -1.0]]])))
+        assert np.allclose(graph_weights(g).data, [[[0.5, -0.5]]], atol=1e-15)
 
     def test_zero_row_stays_zero(self):
-        g = G.tanh_l1_graph(T.Tensor(np.zeros((1, 1, 3))))
-        assert np.all(g.weights.data == 0)
+        g = build_graph(G.tanh_l1_graph, T.Tensor(np.zeros((1, 1, 3))))
+        assert np.all(graph_weights(g).data == 0)
 
     def test_scalar_oracle(self):
-        g = G.tanh_l1_graph(T.Tensor(np.array([[[1.0, 2.0]]])))
+        g = build_graph(G.tanh_l1_graph, T.Tensor(np.array([[[1.0, 2.0]]])))
         t1, t2 = np.tanh(1.0), np.tanh(2.0)
         expected = np.array([t1, t2]) / (t1 + t2)
-        assert np.abs(g.weights.data[0, 0] - expected).max() < 1e-12
+        assert np.abs(graph_weights(g).data[0, 0] - expected).max() < 1e-12
         assert np.allclose(expected, [0.4415, 0.5585], atol=5e-4)
 
     def test_rows_l1_normalized(self):
         rng = np.random.default_rng(7)
-        g = G.tanh_l1_graph(T.Tensor(rng.normal(size=(2, 4, 6, 6))))
-        assert np.abs(np.abs(g.weights.data).sum(axis=-1) - 1.0).max() < 1e-12
+        g = build_graph(G.tanh_l1_graph, T.Tensor(rng.normal(size=(2, 4, 6, 6))))
+        assert np.abs(np.abs(graph_weights(g).data).sum(axis=-1) - 1.0).max() < 1e-12
 
 
 class TestKnnSparsify:
     def _graph(self, weights):
         w = np.asarray(weights, dtype=float)
-        return G.SignedGraph(T.Tensor(w))
+        return weights_graph(T.Tensor(w))
 
     def test_full_k_is_identity(self):
         rng = np.random.default_rng(8)
         g = self._graph(rng.normal(size=(1, 4, 4)))
         out = G.knn_sparsify(g, 4)
-        assert np.array_equal(out.weights.data, g.weights.data)
+        assert np.array_equal(graph_weights(out).data, graph_weights(g).data)
 
     def test_k1_keeps_the_self_edge(self):
         g = self._graph([[[0.1, 0.9], [0.8, 0.2]]])
         out = G.knn_sparsify(g, 1)
-        assert np.array_equal(out.weights.data, [[[0.1, 0.0], [0.0, 0.2]]])
+        assert np.array_equal(graph_weights(out).data, [[[0.1, 0.0], [0.0, 0.2]]])
 
     def test_k1_matches_argmax_when_self_dominates(self):
         g = self._graph([[[0.9, 0.1], [0.2, 0.8]]])
         out = G.knn_sparsify(g, 1)
-        best = np.argmax(np.abs(g.weights.data[0]), axis=-1)
+        best = np.argmax(np.abs(graph_weights(g).data[0]), axis=-1)
         for i in range(2):
-            assert out.weights.data[0, i, best[i]] != 0
+            assert graph_weights(out).data[0, i, best[i]] != 0
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(9)
@@ -225,12 +226,12 @@ class TestKnnSparsify:
             g = self._graph(rng.normal(size=(2, 6, 6)))
             once = G.knn_sparsify(g, 3)
             twice = G.knn_sparsify(once, 3)
-            assert np.array_equal(once.weights.data, twice.weights.data)
+            assert np.array_equal(graph_weights(once).data, graph_weights(twice).data)
 
     def test_masked_entries_exactly_zero(self):
         rng = np.random.default_rng(11)
         out = G.knn_sparsify(self._graph(rng.normal(size=(3, 8, 8))), 4)
-        assert np.all(out.weights.data[~out.mask] == 0.0)
+        assert np.all(graph_weights(out).data[~out.mask] == 0.0)
 
     def test_k_out_of_range(self):
         g = self._graph(np.zeros((1, 3, 3)))
@@ -246,24 +247,24 @@ class TestSignPreservation:
         rng = np.random.default_rng(12)
         for _ in range(20):
             s = rng.normal(size=(2, 6, 6)) * 2
-            g = G.knn_sparsify(builder(T.Tensor(s)), 3)
+            g = G.knn_sparsify(build_graph(builder, T.Tensor(s)), 3)
             signs = np.where(s >= 0, 1.0, -1.0)
-            kept = g.mask & (g.weights.data != 0)
-            assert np.all(np.sign(g.weights.data[kept]) == signs[kept])
+            kept = g.mask & (graph_weights(g).data != 0)
+            assert np.all(np.sign(graph_weights(g).data[kept]) == signs[kept])
 
 
 class TestGcn:
     def test_self_loops_unit_weights(self):
         n, d, h = 4, 6, 2
         x = np.random.default_rng(13).normal(size=(n, d))
-        eye_graph = G.SignedGraph(T.Tensor(np.stack([np.eye(n)] * h)))
+        eye_graph = weights_graph(T.Tensor(np.stack([np.eye(n)] * h)))
         out = G.gcn(T.Tensor(x), eye_graph, T.Tensor(np.stack([np.eye(d // h)] * h)))
         assert np.abs(out.data - (x + silu(x))).max() < 1e-12  # input + its own transform
 
     def test_zero_graph_reduces_to_residual(self):
         n, d, h = 3, 4, 2
         x = np.random.default_rng(14).normal(size=(n, d))
-        zero_graph = G.SignedGraph(T.Tensor(np.zeros((h, n, n))))
+        zero_graph = weights_graph(T.Tensor(np.zeros((h, n, n))))
         weight = T.Tensor(np.random.default_rng(15).normal(size=(h, 2, 2)))
         out = G.gcn(T.Tensor(x), zero_graph, weight)
         assert np.array_equal(out.data, x)  # silu(0) = 0
@@ -273,7 +274,7 @@ class TestGcn:
         x = rng.normal(size=(3, 2))
         adj = rng.normal(size=(1, 3, 3))
         w = rng.normal(size=(1, 2, 2))
-        out = G.gcn(T.Tensor(x), G.SignedGraph(T.Tensor(adj)), T.Tensor(w))
+        out = G.gcn(T.Tensor(x), weights_graph(T.Tensor(adj)), T.Tensor(w))
         expected = x + silu((adj[0] @ x) @ w[0])
         assert np.abs(out.data - expected).max() < 1e-10
 
@@ -281,7 +282,7 @@ class TestGcn:
     def test_graph_must_match_the_nodes(self):
         # A graph is per window and head: it does not broadcast over the batch.
         x = T.Tensor(np.zeros((3, 4, 6)))
-        graph = G.SignedGraph(T.Tensor(np.zeros((1, 2, 4, 4))))
+        graph = weights_graph(T.Tensor(np.zeros((1, 2, 4, 4))))
         with pytest.raises(ShapeError, match="does not fit"):
             G.gcn(x, graph, T.Tensor(np.zeros((2, 3, 3))))
 
@@ -362,7 +363,7 @@ class TestContextSpatialExtract:
 
         windows = G.make_windows(tokens)
         scores = G.signed_distance(windows, p.q, h)
-        graph = G.tanh_l1_graph(scores)  # no knn_sparsify at all
+        graph = build_graph(G.tanh_l1_graph, scores)  # no knn_sparsify at all
         ref = G.pool_windows(G.gcn(windows, graph, p.gcn_weight), "mean").data
         assert np.abs(out - ref).max() < 1e-10
 
@@ -381,7 +382,7 @@ class TestContextSpatialExtract:
         out = G.context_spatial_extract(tokens, p).data
 
         nodes = T.Tensor(np.swapaxes(tokens.data, -3, -2))  # (B, N, C, D)
-        graph = G.knn_sparsify(G.tanh_l1_graph(G.signed_distance(nodes, p.q, h)), k)
+        graph = G.knn_sparsify(build_graph(G.tanh_l1_graph, G.signed_distance(nodes, p.q, h)), k)
         assert graph.mask.sum(axis=-1).max() == k < c
         ref = np.swapaxes(G.gcn(nodes, graph, p.gcn_weight).data, -3, -2)
         assert out.shape == (b, c, n, d) and np.array_equal(out, ref)
@@ -401,7 +402,7 @@ class TestContextSpatialExtract:
         knn = G.knn_sparsify
 
         def spy(graph, k):
-            shapes.append(graph.weights.shape)
+            shapes.append(graph.scores.shape)
             return knn(graph, k)
 
         monkeypatch.setattr(G, "knn_sparsify", spy)
@@ -433,7 +434,7 @@ class TestContextSpatialExtract:
 
         nodes = tokens.reshape((c * n, d))
         scores = G.signed_distance(nodes, p.q, h)
-        graph = G.knn_sparsify(G.tanh_l1_graph(scores), c * n)
+        graph = G.knn_sparsify(build_graph(G.tanh_l1_graph, scores), c * n)
         ref = G.gcn(nodes, graph, p.gcn_weight).data.reshape(c, n, d)
         assert np.abs(out - ref).max() < 1e-10
 

@@ -10,7 +10,8 @@ from seedcast import graph as G
 from seedcast import model as M
 from seedcast import tensor as T
 from seedcast.errors import InputError, NumericError, ShapeError
-from tests_helpers import attention_params, detach, grad_check, grad_check_many
+from tests_helpers import (attention_params, build_graph, detach, grad_check, grad_check_many,
+                           graph_weights, weights_graph)
 
 
 def triple_loop_matmul(a, b):
@@ -79,6 +80,17 @@ class TestSoftmax:
         out = T.softmax(T.Tensor(rng.normal(size=(4, 7))), axis=-1)
         assert np.allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
         assert np.all(out.data >= 0)
+
+    @pytest.mark.parametrize("shape, axis", [((7,), 0), ((5, 6), -1), ((3, 4, 6), 0),
+                                             ((2, 3, 42), -1), ((4, 1), -1), ((4, 6), 1)])
+    def test_running_row_max_gives_the_reduce_max_bits(self, shape, axis):
+        # A max has no summation order: the running max gives every softmax
+        # bit of numpy's reduce, with ±0 and NaN in the rows too.
+        x = np.random.default_rng(3).normal(size=shape) * 30
+        x.flat[1], x.flat[2], x.flat[-1] = 0.0, -0.0, np.nan
+        e = np.exp(x - x.max(axis=axis, keepdims=True))
+        want = e / e.sum(axis=axis, keepdims=True)
+        assert T._softmax(x, axis).tobytes() == want.tobytes()
 
 
 class TestGradCheck:
@@ -342,11 +354,11 @@ TAPED_OPS = {
     "softmax": lambda r: T.softmax(_leaf(r, 3, 4), axis=0),
     "dft_real": lambda r: T.dft_real(_leaf(r, 3, 8))[1],
     "layer_norm": lambda r: M.layer_norm(_leaf(r, 3, 8), _leaf(r, 8), _leaf(r, 8)),
-    "tanh_l1_graph": lambda r: G.tanh_l1_graph(_leaf(r, 2, 6, 6)).weights,
-    "knn_sparsify": lambda r: G.knn_sparsify(G.SignedGraph(_leaf(r, 2, 6, 6)), 3).weights,
+    "tanh_l1_graph": lambda r: graph_weights(build_graph(G.tanh_l1_graph, _leaf(r, 2, 6, 6))),
+    "knn_sparsify": lambda r: graph_weights(G.knn_sparsify(weights_graph(_leaf(r, 2, 6, 6)), 3)),
     "temporal_attention": lambda r: A.temporal_attention(
         _leaf(r, 2, 3, 4), attention_params(4, 2, r)),
-    "gcn": lambda r: G.gcn(_leaf(r, 2, 6, 4), G.SignedGraph(_leaf(r, 2, 2, 6, 6)),
+    "gcn": lambda r: G.gcn(_leaf(r, 2, 6, 4), weights_graph(_leaf(r, 2, 2, 6, 6)),
                            _leaf(r, 2, 2, 2)),
     "feed_forward": lambda r: M.feed_forward(_leaf(r, 3, 4), _leaf(r, 4, 8), _leaf(r, 8),
                                              _leaf(r, 8, 4), _leaf(r, 4)),
@@ -355,7 +367,7 @@ TAPED_OPS = {
     "pool_windows": lambda r: G.pool_windows(_leaf(r, 2, 3, 6, 4), "max"),
     # The convolution's backward rebuilds the graph through KNN and tanh.
     "gcn_rebuilding_its_graph": lambda r: G.gcn(
-        _leaf(r, 2, 6, 4), G.knn_sparsify(G.tanh_l1_graph(_leaf(r, 2, 2, 6, 6)), 3),
+        _leaf(r, 2, 6, 4), G.knn_sparsify(build_graph(G.tanh_l1_graph, _leaf(r, 2, 2, 6, 6)), 3),
         _leaf(r, 2, 2, 2)),
 }
 

@@ -296,6 +296,24 @@ class TestTrain:
         with pytest.raises(TR.DivergenceError, match="epoch 0"):
             TR.train(model, splits, TR.TrainConfig(epochs=1, seed=8))
 
+    def test_non_finite_parameter_ends_training_at_its_step(self, monkeypatch):
+        # A step that overflows a parameter stops training there, named, before a
+        # later loss or the validation pass reads it.
+        splits = tiny_sine_splits()
+        model = tiny_model(seed=8)
+        name, broken = list(model.named_params().items())[2]
+        step = TR.Adam.step
+
+        def overflowing(opt):
+            step(opt)
+            if opt.t == 2:
+                broken.data = broken.data * np.inf
+
+        monkeypatch.setattr(TR.Adam, "step", overflowing)
+        with pytest.raises(TR.DivergenceError,
+                           match=rf"non-finite parameter '{name}' at epoch 0, step 1$"):
+            TR.train(model, splits, TR.TrainConfig(epochs=1, batch_size=8, seed=8))
+
     def test_empty_split_rejected(self):
         splits = tiny_sine_splits()
         bad = TR.DatasetSplits(train=TR.SplitWindows(np.zeros((0, 1, 24)), np.zeros((0, 1, 8))),

@@ -1,5 +1,6 @@
 """Shared test tools: gradient checks, parameter builders, strided windows, tape sizes,
-and the test-only helpers that left ``src/`` (parameter lists, ``detach``, persistence)."""
+signed graphs as tensors, and the test-only helpers that left ``src/`` (parameter lists,
+``detach``, persistence)."""
 
 import numpy as np
 
@@ -128,10 +129,46 @@ def strided_windows(n_windows, n_vars, length, seed=0):
     return view, np.ascontiguousarray(view)
 
 
-def tape_bytes(out) -> int:
-    """Bytes of the distinct arrays that the tape behind ``out`` keeps alive.
+def build_graph(builder, scores: T.Tensor) -> G.SignedGraph:
+    """``builder``'s graph over a bare scores tensor, which it rebuilds from the tensor's data."""
+    data = scores.data
+    return builder(scores, lambda b: data[b].copy())
 
-    Walks the tape nodes from ``out``'s node. At each node it counts every
+
+def weights_graph(weights: T.Tensor, mask=None) -> G.SignedGraph:
+    """A graph whose weights are ``weights`` itself: they are its scores, read as they are."""
+    data = weights.data
+
+    def again(b):
+        return data[b].copy(), lambda g, out: np.copyto(out, g)
+
+    return G.SignedGraph(weights, lambda b: data[b], again, mask)
+
+
+def graph_weights(graph: G.SignedGraph) -> T.Tensor:
+    """``graph``'s weights as one taped tensor over its scores, from ``block`` and ``rebuild``.
+
+    Its backward runs each rebuilt block's backward, as ``gcn``'s does.
+    """
+    scores, rebuild = graph.scores, graph.rebuild
+    blocks = G._blocks(scores.data)
+    data = np.empty(scores.shape)
+    for b in blocks:
+        data[b] = graph.block(b)
+
+    def _bw(g):
+        out = np.empty(g.shape)
+        for b in blocks:
+            rebuild(b)[1](g[b].copy(), out[b])
+        return (out,)
+
+    return T._node(data, (scores,), _bw)
+
+
+def tape_arrays(out) -> list[np.ndarray]:
+    """The distinct arrays that the tape behind ``out`` keeps alive.
+
+    Walks the tape nodes from ``out``'s node. At each node it takes every
     array in its backward closure's cells, following closures nested in them,
     and the data of each leaf the node links to; a Tensor found in a cell
     counts with its data and its node. ``out``'s own data is the caller's, not
@@ -160,4 +197,9 @@ def tape_bytes(out) -> int:
                     stack.append(cell.cell_contents)
                 except ValueError:  # a cell not yet filled
                     pass
-    return sum(a.nbytes for a in bases.values())
+    return list(bases.values())
+
+
+def tape_bytes(out) -> int:
+    """Bytes of the distinct arrays that the tape behind ``out`` keeps alive (``tape_arrays``)."""
+    return sum(a.nbytes for a in tape_arrays(out))
