@@ -53,10 +53,11 @@ def temporal_attention(tokens: T.Tensor, params: AttentionParams) -> T.Tensor:
     One tape node with parents ``(tokens, tokens, tokens, wq, bq, wk, wv, bv,
     wo, bo)``: it returns the q, k and v parts of the tokens' gradient
     separately, so ``backward()`` sums them as it summed the gradients of
-    three projection nodes. The node keeps the tokens, the q/k/v heads and
-    the softmax output; its backward recomputes ``attn @ v`` and the merged
-    heads and takes the derivative of the projection, score, softmax and
-    output chain in that chain's own order.
+    three projection nodes. The node keeps the tokens and the softmax output;
+    its backward recomputes each of the v, k and q heads, in that order, when
+    it first reads it, with the forward's own ``_affine`` call, and ``attn @
+    v`` and the merged heads, and takes the derivative of the projection,
+    score, softmax and output chain in that chain's own order.
     """
     d = tokens.shape[-1]
     p, h = params, params.heads
@@ -64,14 +65,17 @@ def temporal_attention(tokens: T.Tensor, params: AttentionParams) -> T.Tensor:
         raise ConfigError(f"attention heads ({h}) must divide d_model ({d})")
     projections = ((p.wq, p.bq), (p.wk, None), (p.wv, p.bv), (p.wo, p.bo))  # no key bias
     x, weights = tokens.data, [w.data for w, _ in projections]
-    q, k, v = (_split_heads(T._affine(x, w.data, None if b is None else b.data), h)
-               for w, b in projections[:3])
-    scores = q @ np.swapaxes(k, -1, -2)
+    biases = [None if b is None else b.data for _, b in projections]
+
+    def head(i):  # the q (0), k (1) or v (2) heads
+        return _split_heads(T._affine(x, weights[i], biases[i]), h)
+
+    scores = head(0) @ np.swapaxes(head(1), -1, -2)
     scale = 1.0 / np.sqrt(d // h)
     scores *= scale
     attn = T._softmax(scores)
     del scores
-    out = T._affine(_merge_heads(attn @ v), weights[3], p.bo.data)
+    out = T._affine(_merge_heads(attn @ head(2)), weights[3], biases[3])
     # Per projection: its bias shape, and which of (input, weight, bias) need a gradient.
     b_shapes = [None if b is None else b.shape for _, b in projections]
     need = [(tokens.requires_grad, w.requires_grad, b is not None and b.requires_grad)
@@ -81,19 +85,22 @@ def temporal_attention(tokens: T.Tensor, params: AttentionParams) -> T.Tensor:
     def _bw(g):
         # Each intermediate is dropped once read, and the heads' gradients are
         # merged and projected one at a time, so few token-sized arrays are live.
+        v = head(2)
         merged = _merge_heads(attn @ v) if need_o[1] else None
         g_ctx, g_wo, g_bo = T._affine_grads(g, merged, weights[3], b_shapes[3], need_o)
         del merged
         g_ctx = _split_heads(g_ctx, h)
         g_attn = g_ctx @ np.swapaxes(v, -1, -2)
         g_v = np.swapaxes(attn, -1, -2) @ g_ctx
-        del g_ctx
+        del g_ctx, v
         inner = (g_attn * attn).sum(axis=-1, keepdims=True)
         g_attn -= inner
         g_scores = np.multiply(attn, g_attn, out=g_attn)
         del g_attn
         g_scores *= scale
-        g_heads = [g_scores @ k, np.swapaxes(np.swapaxes(q, -1, -2) @ g_scores, -1, -2), g_v]
+        # Each head is freed once its product is in: k for q's gradient, then q for k's.
+        g_heads = [g_scores @ head(1), np.swapaxes(np.swapaxes(head(0), -1, -2) @ g_scores,
+                                                   -1, -2), g_v]
         del g_scores, g_v
         (g_xq, g_wq, g_bq), (g_xk, g_wk, _), (g_xv, g_wv, g_bv) = [
             T._affine_grads(_merge_heads(g_heads.pop(0)), x, weights[i], b_shapes[i], need[i])

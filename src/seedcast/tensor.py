@@ -484,13 +484,6 @@ def _softmax_grad(s: np.ndarray, g: np.ndarray, axis: int = -1, out=None) -> np.
     return np.multiply(s, g - inner, out=out)
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Row-stochastic exp-normalization, computed with max-subtraction."""
-    a = _ensure(a)
-    out = _softmax(a.data, axis)
-    return _node(out, (a,), lambda g: (_softmax_grad(out, g, axis),))
-
-
 # -- Fourier transform ------------------------------------------------------------
 
 

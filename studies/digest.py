@@ -162,14 +162,18 @@ def _tree_digest(root: str, names: list[str]) -> dict[str, str]:
     return {name: digest for digest, name in (line.split() for line in proc.stdout.splitlines())}
 
 
+def export(rev: str, dest: str, paths: tuple[str, ...] = ("src", "studies")) -> None:
+    """Unpack ``paths`` of git revision ``rev`` of this repository into ``dest``."""
+    archive = subprocess.run(["git", "-C", ROOT, "archive", rev, *paths], capture_output=True)
+    if archive.returncode != 0:
+        raise SystemExit(archive.stderr.decode())
+    subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
+
+
 def against(rev: str, names: list[str]) -> int:
     """Compare this tree's digest with ``rev``'s, line by line; 1 if any line moved."""
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "-C", ROOT, "archive", rev, "src", "studies"],
-                                 capture_output=True)
-        if archive.returncode != 0:
-            raise SystemExit(archive.stderr.decode())
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+        export(rev, tmp)
         old, new = _tree_digest(tmp, names), _tree_digest(ROOT, names)
     moved = False
     for name in {**old, **new}:  # old's lines in order, then lines only this tree has

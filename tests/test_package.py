@@ -32,8 +32,8 @@ def test_public_names_and_no_test_tools():
     assert sorted(seedcast.__all__) == PUBLIC
     for name in seedcast.__all__:
         assert getattr(seedcast, name, None) is not None, name
-    for name in ("exp", "log", "power", "tanh", "stack", "maximum", "matmul", "grad_check",
-                 "grad_check_many"):
+    for name in ("exp", "log", "power", "tanh", "softmax", "stack", "maximum", "matmul",
+                 "grad_check", "grad_check_many"):
         assert not hasattr(seedcast.tensor, name), name
     for name in ("__pow__", "__matmul__"):
         assert not hasattr(seedcast.Tensor, name), name

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import absolute, matmul, maximum, silu, stack, tanh
+from oracles import absolute, matmul, maximum, silu, softmax, stack, tanh
 from seedcast import attention as A
 from seedcast import graph as G
 from seedcast import model as M
@@ -61,23 +61,23 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_symmetry(self):
-        out = T.softmax(T.Tensor([0.0, 0.0]))
+        out = softmax(T.Tensor([0.0, 0.0]))
         assert np.allclose(out.data, [0.5, 0.5], atol=1e-15)
 
     def test_stability_under_shift(self):
-        out = T.softmax(T.Tensor([1000.0, 1000.0]))
+        out = softmax(T.Tensor([1000.0, 1000.0]))
         assert np.allclose(out.data, [0.5, 0.5], atol=1e-15)
         assert np.all(np.isfinite(out.data))
 
     def test_matches_exp_normalize_oracle(self):
         x = np.array([1.0, 2.0, 3.0])
         expected = np.exp(x) / np.exp(x).sum()
-        out = T.softmax(T.Tensor(x))
+        out = softmax(T.Tensor(x))
         assert np.allclose(out.data, expected, atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
-        out = T.softmax(T.Tensor(rng.normal(size=(4, 7))), axis=-1)
+        out = softmax(T.Tensor(rng.normal(size=(4, 7))), axis=-1)
         assert np.allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
         assert np.all(out.data >= 0)
 
@@ -127,7 +127,7 @@ class TestGradCheck:
         pytest.param(lambda t: T.tsum(silu(t)), id="<lambda>1"),
         pytest.param(lambda t: T.tsum(T.sqrt(absolute(t) + 1.0)), id="<lambda>2"),
         pytest.param(lambda t: T.tmean(t * t * t), id="<lambda>3"),
-        pytest.param(lambda t: T.tsum(T.softmax(t, -1) * T.softmax(t, 0)), id="<lambda>4"),
+        pytest.param(lambda t: T.tsum(softmax(t, -1) * softmax(t, 0)), id="<lambda>4"),
         pytest.param(lambda t: T.tsum(t.reshape((6, 2)) * t.reshape((6, 2))), id="<lambda>5"),
         pytest.param(lambda t: T.tsum(T.swapaxes(t, 0, 1) * 3.0), id="<lambda>6"),
         pytest.param(lambda t: T.tsum(maximum(t, 0.3) * 0.5), id="<lambda>7"),
@@ -351,7 +351,7 @@ TAPED_OPS = {
     "matmul": lambda r: matmul(_leaf(r, 2, 3, 4), _leaf(r, 4, 5)),
     "matmul_batched": lambda r: matmul(_leaf(r, 2, 3, 4), _leaf(r, 2, 4, 5)),
     "linear": lambda r: T.linear(_leaf(r, 2, 3, 4), _leaf(r, 4, 5), _leaf(r, 5)),
-    "softmax": lambda r: T.softmax(_leaf(r, 3, 4), axis=0),
+    "softmax": lambda r: softmax(_leaf(r, 3, 4), axis=0),
     "dft_real": lambda r: T.dft_real(_leaf(r, 3, 8))[1],
     "layer_norm": lambda r: M.layer_norm(_leaf(r, 3, 8), _leaf(r, 8), _leaf(r, 8)),
     "tanh_l1_graph": lambda r: graph_weights(build_graph(G.tanh_l1_graph, _leaf(r, 2, 6, 6))),

@@ -129,40 +129,55 @@ def strided_windows(n_windows, n_vars, length, seed=0):
     return view, np.ascontiguousarray(view)
 
 
-def build_graph(builder, scores: T.Tensor) -> G.SignedGraph:
-    """``builder``'s graph over a bare scores tensor, which it rebuilds from the tensor's data."""
+def bare_scores(scores: T.Tensor) -> G.Scores:
+    """A bare scores tensor as the graph stages keep scores: each block rebuilt from its
+    data, whatever the window, and its gradient collected whole."""
     data = scores.data
-    return builder(scores, lambda b: data[b].copy())
+
+    def sink():
+        g_s = np.empty(data.shape)
+        return (lambda b, g, _: g_s.__setitem__(b, g)), lambda xh_of: (g_s,)
+
+    return G.Scores(data.shape, (scores,), lambda b, xh: (data[b].copy(), None), sink)
+
+
+def build_graph(builder, scores: T.Tensor) -> G.SignedGraph:
+    """``builder``'s graph over a bare scores tensor (``bare_scores``)."""
+    return builder(scores, bare_scores(scores))
 
 
 def weights_graph(weights: T.Tensor, mask=None) -> G.SignedGraph:
     """A graph whose weights are ``weights`` itself: they are its scores, read as they are."""
     data = weights.data
-
-    def again(b):
-        return data[b].copy(), lambda g, out: np.copyto(out, g)
-
-    return G.SignedGraph(weights, lambda b: data[b], again, mask)
+    return G.SignedGraph(bare_scores(weights), lambda b: data[b],
+                         lambda b, s: (s, lambda g, out: np.copyto(out, g)), mask)
 
 
 def graph_weights(graph: G.SignedGraph) -> T.Tensor:
-    """``graph``'s weights as one taped tensor over its scores, from ``block`` and ``rebuild``.
+    """``graph``'s weights as one taped tensor over its scores' links, from ``block`` and
+    ``rebuild``.
 
-    Its backward runs each rebuilt block's backward, as ``gcn``'s does.
+    Its backward runs each rebuilt block's backward into the scores' sink, as
+    ``gcn``'s does. It rebuilds the scores without a window, so they must be
+    bare (``bare_scores``) for it to run.
     """
     scores, rebuild = graph.scores, graph.rebuild
-    blocks = G._blocks(scores.data)
+    again, sink = scores.again, scores.sink
+    blocks = G._blocks(scores.shape)
     data = np.empty(scores.shape)
     for b in blocks:
         data[b] = graph.block(b)
 
     def _bw(g):
-        out = np.empty(g.shape)
+        put, done = sink()
         for b in blocks:
-            rebuild(b)[1](g[b].copy(), out[b])
-        return (out,)
+            s_b, extra = again(b, None)
+            g_b = g[b].copy()
+            rebuild(b, s_b)[1](g_b, g_b)
+            put(b, g_b, extra)
+        return done(None)
 
-    return T._node(data, (scores,), _bw)
+    return T._node(data, scores.links, _bw)
 
 
 def tape_arrays(out) -> list[np.ndarray]:
